@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,7 +23,7 @@ from .generators import grid_graph, path_graph, random_geometric_graph
 from .graph import Graph, build_laplacian, load_edge_list
 from .localsets import Partition, greedy_partition, partition_metrics, suggest_nmax
 from .noise import sample_noise
-from .reconstruction import ReconstructionConfig, ilmr
+from .reconstruction import BandOperator
 from .sampling import WEIGHT_SCHEMES, NoiseModel, make_weights, measure
 from .spectral import SpectralBasis, eigendecompose, random_bandlimited
 
@@ -66,6 +67,7 @@ class GraphConfig:
     path: str | None = None
     index_base: int = 0
     header: bool = False
+    dedup: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,10 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing: line-oriented "key = value", '#' starts a comment.
+# Config parsing: line-oriented "key = value", '#' starts a comment at the
+# start of a line or after whitespace, so a '#' inside a value is kept.
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 _GRAPH_KINDS = ("path", "grid", "rgg", "edgelist")
 _NOISE_KINDS = ("none", "iid", "grouped")
@@ -149,6 +154,7 @@ _KNOWN_KEYS = {
     "graph.path",
     "graph.index_base",
     "graph.header",
+    "graph.dedup",
     "omega",
     "band_dim",
     "n_max",
@@ -189,7 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a key = value config; raises ConfigError."""
     raw: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _COMMENT.split(line, 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
@@ -219,6 +225,7 @@ def parse_config(text: str) -> ExperimentConfig:
         path=raw.get("graph.path"),
         index_base=_parse_scalar(raw, "graph.index_base", int, 0),
         header=_parse_scalar(raw, "graph.header", _parse_bool, False),
+        dedup=_parse_scalar(raw, "graph.dedup", _parse_bool, False),
     )
     _validate_graph(graph)
 
@@ -335,13 +342,15 @@ def _validate_graph(graph: GraphConfig) -> None:
         "edgelist": ("path",),
     }[graph.kind]
     allowed = set(need) | (
-        {"index_base", "header"} if graph.kind == "edgelist" else set()
+        {"index_base", "header", "dedup"} if graph.kind == "edgelist" else set()
     )
     for f_name in need:
         if getattr(graph, f_name) is None:
             raise ConfigError(f"graph = {graph.kind} requires graph.{f_name}")
-    for f_name in ("n", "rows", "cols", "radius", "path"):
-        if getattr(graph, f_name) is not None and f_name not in allowed:
+    unset = GraphConfig(kind=graph.kind)
+    for f_name in ("n", "rows", "cols", "radius", "path", "index_base", "header",
+                   "dedup"):
+        if getattr(graph, f_name) != getattr(unset, f_name) and f_name not in allowed:
             raise ConfigError(
                 f"graph.{f_name} does not apply to graph = {graph.kind}"
             )
@@ -371,7 +380,9 @@ def _build_graph(cfg: ExperimentConfig) -> Graph:
         return random_geometric_graph(
             g.n, g.radius, _rng(cfg.seed, _STREAM_GRAPH)
         )
-    return load_edge_list(g.path, index_base=g.index_base, header=g.header)
+    return load_edge_list(
+        g.path, index_base=g.index_base, dedup=g.dedup, header=g.header
+    )
 
 
 def _build_noise_model(cfg: ExperimentConfig, n_vertices: int) -> NoiseModel:
@@ -413,36 +424,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     metrics = partition_metrics(graph, partition)
     gamma = metrics.c_max * math.sqrt(omega)
     model = _build_noise_model(cfg, graph.n_vertices)
-    recon_cfg_base = dict(
-        omega=omega, max_iterations=cfg.max_iterations, stop_tolerance=0.0
-    )
 
-    n_points = cfg.max_iterations + 1
-    curves = {s: np.empty((cfg.trials, n_points)) for s in cfg.schemes}
+    # one column per trial; every draw keeps its own seeded stream
     offband = cfg.offband_energy if cfg.offband_energy > 0 else None
+    truth = np.empty((graph.n_vertices, cfg.trials))
+    observed = np.empty_like(truth)
     for t in range(cfg.trials):
-        f = random_bandlimited(
+        truth[:, t] = random_bandlimited(
             basis, omega, _rng(cfg.seed, _STREAM_SIGNAL, t),
             norm=1.0, offband_energy=offband,
         )
-        observed = f + sample_noise(model, _rng(cfg.seed, _STREAM_NOISE, t))
-        truth_norm = np.linalg.norm(f)
-        for j, scheme in enumerate(cfg.schemes):
-            weights = make_weights(
-                scheme,
-                partition,
-                noise=model if scheme in ("optimal", "optimal_dirac") else None,
-                rng=_rng(cfg.seed, _STREAM_WEIGHTS, t, j),
-            )
-            run = ilmr(
-                measure(observed, weights),
-                partition,
-                weights,
-                basis,
-                ReconstructionConfig(**recon_cfg_base, track_truth=f),
-                c_max=metrics.c_max,
-            )
-            curves[scheme][t] = run.error_trace / truth_norm
+        observed[:, t] = truth[:, t] + sample_noise(
+            model, _rng(cfg.seed, _STREAM_NOISE, t)
+        )
+    truth_norm = np.linalg.norm(truth, axis=0)
+
+    op = BandOperator(basis, omega, partition)
+    curves = {}
+    for j, scheme in enumerate(cfg.schemes):
+        if scheme in ("random", "dirac"):  # redrawn per trial: one A per column
+            a = np.empty((cfg.trials,) + op.bt.T.shape)
+            m = np.empty((partition.n_sets, cfg.trials))
+            for t in range(cfg.trials):
+                rng = _rng(cfg.seed, _STREAM_WEIGHTS, t, j)
+                w = make_weights(scheme, partition, rng=rng)
+                a[t], m[:, t] = op.measurement_matrix(w), measure(observed[:, t], w)
+        else:
+            weights = make_weights(scheme, partition, noise=model)
+            a, m = op.measurement_matrix(weights), measure(observed, weights)
+        errors = op.iterate(a, m, cfg.max_iterations, truth=truth).errors
+        curves[scheme] = errors.T / truth_norm[:, None]
 
     return ExperimentReport(
         config=cfg,

@@ -66,20 +66,24 @@ class Partition:
         return np.array([len(s) for s in self.sets], dtype=np.int64)
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        sizes = [len(s) for s in self.sets]
-        total = sum(sizes)
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sizes = np.array([len(s) for s in self.sets], dtype=np.intp)
         verts = np.fromiter(
-            (v for s in self.sets for v in s), dtype=np.intp, count=total
+            (v for s in self.sets for v in s), dtype=np.intp, count=int(sizes.sum())
         )
         ids = np.repeat(np.arange(len(self.sets), dtype=np.intp), sizes)
-        verts.flags.writeable = False
-        ids.flags.writeable = False
-        return verts, ids
+        starts = np.cumsum(sizes) - sizes
+        for arr in (verts, ids, starts):
+            arr.flags.writeable = False
+        return verts, ids, starts
 
     def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (vertices, set_ids) arrays for vectorized gather/scatter."""
-        return self._flat
+        return self._flat[:2]
+
+    def sum_by_set(self, values: np.ndarray) -> np.ndarray:
+        """Sum rows aligned with :meth:`member_arrays` over each set (axis 0)."""
+        return np.add.reduceat(values, self._flat[2], axis=0)
 
     def with_centers(self, centers: Sequence[int]) -> "Partition":
         return Partition(sets=self.sets, centers=tuple(int(c) for c in centers))

@@ -13,15 +13,16 @@ gamma = C_max sqrt(omega), so when gamma < 1 the iteration
     f(k+1)  = f(k) + P( sum_i (m_i - <f(k), phi_i>) delta_{N_i} )
 
 contracts toward the unique bandlimited signal consistent with the
-measurements m_i.  Decimation (one sampled vertex per set) and
-center-propagation variants are the same loop with dirac weight vectors.
+measurements m_i; it runs on the band coefficients (:class:`BandOperator`).
+Decimation (one sampled vertex per set) and center-propagation variants are
+the same loop with dirac weight vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .sampling import LocalWeights, make_weights, measure
 from .spectral import SpectralBasis, random_bandlimited
 
 __all__ = [
+    "BandOperator",
     "ReconstructionConfig",
     "ReconstructionRun",
     "apply_G",
@@ -51,7 +53,7 @@ class ReconstructionConfig:
     ``stop_tolerance`` compares the increment norm against the previous
     iterate's norm; 0 disables early stopping.  ``track_truth``, when given,
     records ||f(k) - truth|| after every iteration (index 0 is the initial
-    estimate), which costs one extra norm per iteration.
+    estimate), which costs one norm of a k-vector per iteration.
     """
 
     omega: float
@@ -89,25 +91,77 @@ class ReconstructionRun:
     stop_reason: str
 
 
-def _spread_and_project(
-    basis: SpectralBasis, omega: float, partition: Partition
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Precompute the scatter (set values -> vertex signal) and band projector."""
-    ub = basis.band_vectors(omega)
-    verts, ids = partition.member_arrays()
-    n = basis.n
-    if verts.size and verts.max() >= n:
-        raise ValueError("partition vertex range exceeds the basis size")
+def _column_sq(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x * x, axis=0)
 
-    def spread(per_set: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        out[verts] = per_set[ids]
-        return out
 
-    def project(x: np.ndarray) -> np.ndarray:
-        return ub @ (ub.T @ x)
+class Sweeps(NamedTuple):
+    """:meth:`BandOperator.iterate` output; the traces hold one row per iterate."""
 
-    return spread, project
+    coefficients: np.ndarray
+    increments: np.ndarray
+    errors: np.ndarray | None
+    stop_reason: str
+
+
+class BandOperator:
+    """The ILMR iteration on band coefficients, for one (basis, omega, partition).
+
+    With f(k) = U_b c(k), U_b the n x k band eigenvectors, each sweep is
+    c(k+1) = c(k) + B^T (m - A c(k)) from c(0) = B^T m.  B^T = U_b^T S
+    (``bt``, k x |I|, S spreads set values over members) is weight-free and
+    A = Phi U_b (:meth:`measurement_matrix`, |I| x k); both are per-set sums
+    of the band rows gathered in member order, never dense Phi or S.
+    """
+
+    def __init__(self, basis: SpectralBasis, omega: float, partition: Partition):
+        verts, _ = partition.member_arrays()
+        if verts.size and verts.max() >= basis.n:
+            raise ValueError("partition vertex range exceeds the basis size")
+        self.partition = partition
+        self.ub = basis.band_vectors(omega)
+        self._rows = self.ub[verts]
+        self.bt = partition.sum_by_set(self._rows).T
+
+    def measurement_matrix(self, weights: LocalWeights) -> np.ndarray:
+        """A = Phi U_b: the measurements of each band eigenvector, (|I|, k)."""
+        if weights.partition.sets != self.partition.sets:
+            raise ValueError("weights belong to a different partition")
+        return self.partition.sum_by_set(weights.flat_values()[:, None] * self._rows)
+
+    def iterate(
+        self, a: np.ndarray, m: np.ndarray, sweeps: int,
+        stop_tolerance: float = 0.0, truth: np.ndarray | None = None,
+    ) -> Sweeps:
+        """Run up to ``sweeps`` sweeps on the measurement columns ``m`` (|I|, T).
+
+        ``a`` is A for every column, (|I|, k), or one per column, (T, |I|, k).
+        With ``stop_tolerance`` > 0 the loop stops once every increment is at
+        most that fraction of its column's previous norm.  ``truth`` (n, T)
+        adds ||f(k) - truth|| = sqrt(||c(k) - U_b^T truth||^2 + offband).
+        """
+        c = self.bt @ m
+        norm = np.sqrt(_column_sq(c))
+        increments, errors = [norm], None
+        if truth is not None:
+            truth_c = self.ub.T @ truth
+            offband = _column_sq(truth - self.ub @ truth_c)
+            errors = [np.sqrt(_column_sq(c - truth_c) + offband)]
+        stop_reason = "max_iterations"
+        for _ in range(sweeps):
+            ac = a @ c if a.ndim == 2 else (a @ c.T[:, :, None])[..., 0].T
+            delta = self.bt @ (m - ac)
+            c = c + delta
+            increments.append(np.sqrt(_column_sq(delta)))
+            if errors is not None:
+                errors.append(np.sqrt(_column_sq(c - truth_c) + offband))
+            if stop_tolerance > 0:
+                prev, norm = norm, np.sqrt(_column_sq(c))
+                if (increments[-1] <= stop_tolerance * np.maximum(prev, _TINY)).all():
+                    stop_reason = "converged"
+                    break
+        errors = np.array(errors) if errors is not None else None
+        return Sweeps(c, np.array(increments), errors, stop_reason)
 
 
 def apply_G(
@@ -121,59 +175,8 @@ def apply_G(
     f = np.asarray(signal, dtype=np.float64)
     if f.shape != (basis.n,):
         raise ValueError(f"signal must have shape ({basis.n},), got {f.shape}")
-    spread, project = _spread_and_project(basis, omega, partition)
-    return project(spread(measure(f, weights)))
-
-
-def _iterate(
-    measurements: np.ndarray,
-    partition: Partition,
-    probe: Callable[[np.ndarray], np.ndarray],
-    basis: SpectralBasis,
-    config: ReconstructionConfig,
-    gamma: float | None,
-) -> ReconstructionRun:
-    m = np.asarray(measurements, dtype=np.float64)
-    if m.shape != (partition.n_sets,):
-        raise ValueError(
-            f"expected {partition.n_sets} measurements, got shape {m.shape}"
-        )
-    spread, project = _spread_and_project(basis, config.omega, partition)
-    truth = config.track_truth
-    if truth is not None:
-        truth = np.asarray(truth, dtype=np.float64)
-        if truth.shape != (basis.n,):
-            raise ValueError("track_truth must match the basis size")
-
-    f = project(spread(m))
-    increments = [float(np.linalg.norm(f))]
-    errors = [float(np.linalg.norm(f - truth))] if truth is not None else None
-    iterations = 0
-    stop_reason = "max_iterations"
-    for _ in range(config.max_iterations):
-        prev_norm = np.linalg.norm(f)
-        residual = m - probe(f)
-        correction = project(spread(residual))
-        f = f + correction
-        iterations += 1
-        inc = float(np.linalg.norm(correction))
-        increments.append(inc)
-        if errors is not None:
-            errors.append(float(np.linalg.norm(f - truth)))
-        if config.stop_tolerance > 0 and inc <= config.stop_tolerance * max(
-            prev_norm, _TINY
-        ):
-            stop_reason = "converged"
-            break
-    return ReconstructionRun(
-        estimate=f,
-        iterations_used=iterations,
-        increment_trace=np.array(increments),
-        error_trace=np.array(errors) if errors is not None else None,
-        gamma=gamma,
-        gamma_warning=(gamma is not None and gamma >= 1.0),
-        stop_reason=stop_reason,
-    )
+    op = BandOperator(basis, omega, partition)
+    return op.ub @ (op.bt @ measure(f, weights))
 
 
 def ilmr(
@@ -191,14 +194,31 @@ def ilmr(
     a-priori contraction factor gamma = c_max * sqrt(omega) and warns when it
     is >= 1; the iteration itself runs either way.
     """
+    m = np.asarray(measurements, dtype=np.float64)
+    if m.shape != (partition.n_sets,):
+        raise ValueError(
+            f"expected {partition.n_sets} measurements, got shape {m.shape}"
+        )
+    op = BandOperator(basis, config.omega, partition)
+    truth = config.track_truth
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.float64)
+        if truth.shape != (basis.n,):
+            raise ValueError("track_truth must match the basis size")
+        truth = truth[:, None]
+    out = op.iterate(
+        op.measurement_matrix(weights), m[:, None], config.max_iterations,
+        config.stop_tolerance, truth,
+    )
     gamma = c_max * math.sqrt(config.omega) if c_max is not None else None
-    return _iterate(
-        measurements,
-        partition,
-        lambda f: measure(f, weights),
-        basis,
-        config,
-        gamma,
+    return ReconstructionRun(
+        estimate=op.ub @ out.coefficients[:, 0],
+        iterations_used=out.increments.shape[0] - 1,
+        increment_trace=out.increments[:, 0],
+        error_trace=out.errors[:, 0] if out.errors is not None else None,
+        gamma=gamma,
+        gamma_warning=(gamma is not None and gamma >= 1.0),
+        stop_reason=out.stop_reason,
     )
 
 
@@ -221,14 +241,7 @@ def ilsr(
         raise ValueError(f"sample vertex out of range for {basis.n} vertices")
     partition = Partition(sets=tuple((u,) for u in samples))
     weights = make_weights("uniform", partition)  # single member: weight 1
-    return _iterate(
-        decimated,
-        partition,
-        lambda f: measure(f, weights),
-        basis,
-        config,
-        None,
-    )
+    return ilmr(decimated, partition, weights, basis, config)
 
 
 def ipr(
@@ -247,21 +260,11 @@ def ipr(
     """
     if partition.centers is None:
         raise ValueError("ipr requires a partition with centers")
-    values = []
-    for c, s in zip(partition.centers, partition.sets):
-        w = np.zeros(len(s))
-        w[s.index(c)] = 1.0
-        values.append(w)
-    weights = LocalWeights(partition=partition, values=tuple(values))
-    gamma = q_max * math.sqrt(config.omega) if q_max is not None else None
-    return _iterate(
-        decimated,
-        partition,
-        lambda f: measure(f, weights),
-        basis,
-        config,
-        gamma,
-    )
+    weights = LocalWeights(partition, tuple(
+        np.arange(len(s)) == s.index(c)
+        for c, s in zip(partition.centers, partition.sets)
+    ))
+    return ilmr(decimated, partition, weights, basis, config, c_max=q_max)
 
 
 def contraction_ratio(
@@ -302,11 +305,11 @@ def uniqueness_check(
     map is injective iff that matrix has full column rank (numerical rank via
     SVD with tolerance K * eps * s_max).
     """
-    ub = basis.band_vectors(omega)
-    k = ub.shape[1]
+    op = BandOperator(basis, omega, weights.partition)
+    k = op.ub.shape[1]
     if k == 0:
         return True  # the zero space is trivially determined
-    mat = weights.to_matrix(basis.n) @ ub
+    mat = op.measurement_matrix(weights)
     if mat.shape[0] < k:
         return False
     s = np.linalg.svd(mat, compute_uv=False)

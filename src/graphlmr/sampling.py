@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -73,36 +72,33 @@ class LocalWeights:
     values: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.partition.n_sets:
+        sets = self.partition.sets
+        if len(self.values) != len(sets):
             raise ValueError(
-                f"{len(self.values)} weight vectors for "
-                f"{self.partition.n_sets} sets"
+                f"{len(self.values)} weight vectors for {len(sets)} sets"
             )
-        normalized = []
-        for i, (s, w) in enumerate(zip(self.partition.sets, self.values)):
-            arr = np.asarray(w, dtype=np.float64)
+        arrs = [np.asarray(w, dtype=np.float64) for w in self.values]
+        for i, (s, arr) in enumerate(zip(sets, arrs)):
             if arr.shape != (len(s),):
                 raise ValueError(
                     f"set {i}: expected {len(s)} weights, got shape {arr.shape}"
                 )
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"set {i}: weights must be finite and >= 0")
-            total = arr.sum()
-            if total <= 0:
-                raise ValueError(f"set {i}: weights sum to zero")
-            if abs(total - 1.0) > 1e-12:  # keep normalized input bit-stable
-                arr = arr / total
-            else:
-                arr = arr.copy()
-            arr.flags.writeable = False
-            normalized.append(arr)
-        object.__setattr__(self, "values", tuple(normalized))
-
-    @cached_property
-    def _flat_values(self) -> np.ndarray:
-        flat = np.concatenate(self.values) if self.values else np.zeros(0)
+        flat = np.concatenate(arrs) if arrs else np.zeros(0)
+        _, ids = self.partition.member_arrays()
+        bad = (flat < 0) | ~np.isfinite(flat)
+        if bad.any():
+            i = ids[bad.argmax()]
+            raise ValueError(f"set {i}: weights must be finite and >= 0")
+        totals = self.partition.sum_by_set(flat)
+        if (totals <= 0).any():
+            raise ValueError(f"set {(totals <= 0).argmax()}: weights sum to zero")
+        # dividing by exactly 1 keeps already normalized input bit-stable
+        flat = flat / np.where(np.abs(totals - 1.0) > 1e-12, totals, 1.0)[ids]
         flat.flags.writeable = False
-        return flat
+        object.__setattr__(self, "_flat_values", flat)
+        starts = np.cumsum(self.partition.sizes()[:-1])
+        values = tuple(np.split(flat, starts)) if sets else ()
+        object.__setattr__(self, "values", values)
 
     def flat_values(self) -> np.ndarray:
         """Weights concatenated in partition member order."""
@@ -176,18 +172,16 @@ def make_weights(
 def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     """Weighted average of the signal over each set: m_i = <signal, phi_i>.
 
-    With dirac weights this reduces to plain decimation, exactly (each sum
-    has a single term).
+    ``signal`` is one vertex signal (n,) or a block of them (n, T), which
+    gives (n_sets, T).  With dirac weights this reduces to plain decimation,
+    exactly (each sum has a single term).
     """
     f = np.asarray(signal, dtype=np.float64)
-    verts, ids = weights.partition.member_arrays()
+    verts, _ = weights.partition.member_arrays()
     if verts.size and verts.max() >= f.shape[0]:
         raise ValueError("signal shorter than the partition's vertex range")
-    return np.bincount(
-        ids,
-        weights=f[verts] * weights.flat_values(),
-        minlength=weights.partition.n_sets,
-    )
+    w = weights.flat_values().reshape((-1,) + (1,) * (f.ndim - 1))
+    return weights.partition.sum_by_set(f[verts] * w)
 
 
 class EquivalentNoise(NamedTuple):
@@ -206,13 +200,11 @@ def equivalent_noise_sigma(
     variance sum_v sigma^2(v) phi_i^2(v); its absolute value is half-normal,
     so E|n_i| = sigma_i * sqrt(2/pi).
     """
-    verts, ids = weights.partition.member_arrays()
+    verts, _ = weights.partition.member_arrays()
     if verts.size and verts.max() >= noise.n:
         raise ValueError("noise model shorter than the partition's vertex range")
-    var = np.bincount(
-        ids,
-        weights=(noise.sigma[verts] ** 2) * weights.flat_values() ** 2,
-        minlength=weights.partition.n_sets,
+    var = weights.partition.sum_by_set(
+        (noise.sigma[verts] ** 2) * weights.flat_values() ** 2
     )
     sig = np.sqrt(var)
     return EquivalentNoise(sigma=sig, expected_abs=sig * math.sqrt(2.0 / math.pi))

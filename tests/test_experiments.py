@@ -89,11 +89,39 @@ def test_parse_config_defaults():
          "require noise"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "graph.header = maybe\n", "bad value"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "graph.dedup = true\n", "graph.dedup does not apply"),
+        ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
+         "schemes = uniform\ngraph.header = true\n", "graph.header does not apply"),
     ],
 )
 def test_parse_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         glm.parse_config(text)
+
+
+def test_parse_config_edgelist_dedup(tmp_path):
+    path = tmp_path / "dup.edges"
+    path.write_text("0 1\n1 2\n2 1\n2 3\n", encoding="utf-8")
+    text = (f"graph = edgelist\ngraph.path = {path}\nomega = 0.5\nn_max = 2\n"
+            "schemes = uniform\ntrials = 2\nmax_iterations = 3\n")
+    assert glm.parse_config(text).graph.dedup is False
+    with pytest.raises(glm.EdgeListError):
+        glm.run_experiment(glm.parse_config(text))
+    cfg = glm.parse_config(text + "graph.dedup = true\n")
+    assert cfg.graph.dedup is True
+    assert glm.run_experiment(cfg).n_sets == 2
+
+
+def test_parse_config_hash_inside_value_is_kept():
+    cfg = glm.parse_config(
+        "# leading comment\ngraph = edgelist\ngraph.path = data/run#1.edges\n"
+        "omega = 0.1\nschemes = uniform\t# tab comment\nseed = 3  # note\n"
+        "  # indented comment\n"
+    )
+    assert cfg.graph.path == "data/run#1.edges"
+    assert cfg.seed == 3
+    assert cfg.schemes == ("uniform",)
 
 
 def test_relative_error():

@@ -110,6 +110,9 @@ def test_partition_member_arrays():
     assert list(verts) == [3, 1, 0, 2, 4]
     assert list(ids) == [0, 0, 1, 2, 2]
     assert list(p.sizes()) == [2, 1, 2]
+    rows = np.arange(10.0).reshape(5, 2)
+    assert p.sum_by_set(rows).tolist() == [[2.0, 4.0], [4.0, 5.0], [14.0, 16.0]]
+    assert Partition(sets=()).sum_by_set(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_metrics_p4_pairs():

@@ -29,6 +29,16 @@ def test_apply_g_shape_check(p4):
         glm.apply_G(basis, 0.1, p, w, np.zeros(5))
 
 
+def test_band_operator_rejects_foreign_weights(p4):
+    _, basis = p4
+    op = glm.BandOperator(basis, 0.1, Partition(sets=((0, 1), (2, 3))))
+    other = glm.make_weights("uniform", Partition(sets=((0,), (1, 2, 3))))
+    with pytest.raises(ValueError, match="different partition"):
+        op.measurement_matrix(other)
+    with pytest.raises(ValueError, match="vertex range"):
+        glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
+
+
 def test_ilmr_exact_on_constant():
     basis = _basis(glm.path_graph(2))
     p = Partition(sets=((0, 1),))

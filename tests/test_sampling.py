@@ -108,6 +108,15 @@ def test_measure_uniform_average():
     assert np.allclose(m, [2.0], atol=1e-15)
 
 
+def test_measure_block_matches_columns(pair_partition):
+    w = glm.make_weights("random", pair_partition, rng=np.random.default_rng(4))
+    block = np.random.default_rng(5).standard_normal((5, 3))
+    m = glm.measure(block, w)
+    assert m.shape == (2, 3)
+    for t in range(3):
+        assert np.array_equal(m[:, t], glm.measure(block[:, t], w))
+
+
 def test_measure_rejects_short_signal(pair_partition):
     w = glm.make_weights("uniform", pair_partition)
     with pytest.raises(ValueError, match="shorter"):
