@@ -232,9 +232,10 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool
         raise ValueError(f"vertex out of range for {n} vertices")
     local = {v: i for i, v in enumerate(vs)}
     edges = [
-        (local[u], local[v])
-        for u, v in graph.edges
-        if u in local and v in local
+        (i, local[w])
+        for i, u in enumerate(vs)
+        for w in graph.adjacency[u]
+        if w > u and w in local
     ]
     sub = Graph.from_edges(len(vs), edges)
     return sub, is_connected(sub)

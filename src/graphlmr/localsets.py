@@ -63,23 +63,27 @@ class Partition:
         return len(self.sets)
 
     def sizes(self) -> np.ndarray:
-        return np.array([len(s) for s in self.sets], dtype=np.int64)
+        return self._flat[3]
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.array([len(s) for s in self.sets], dtype=np.intp)
         verts = np.fromiter(
             (v for s in self.sets for v in s), dtype=np.intp, count=int(sizes.sum())
         )
         ids = np.repeat(np.arange(len(self.sets), dtype=np.intp), sizes)
         starts = np.cumsum(sizes) - sizes
-        for arr in (verts, ids, starts):
+        for arr in (verts, ids, starts, sizes):
             arr.flags.writeable = False
-        return verts, ids, starts
+        return verts, ids, starts, sizes
 
     def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (vertices, set_ids) arrays for vectorized gather/scatter."""
         return self._flat[:2]
+
+    def set_starts(self) -> np.ndarray:
+        """Position of each set's first member in :meth:`member_arrays`."""
+        return self._flat[2]
 
     def sum_by_set(self, values: np.ndarray) -> np.ndarray:
         """Sum rows aligned with :meth:`member_arrays` over each set (axis 0)."""
@@ -164,10 +168,9 @@ def validate_partition(graph: Graph, partition: Partition) -> list[str]:
     if missing > 0:
         violations.append(f"{missing} vertices not covered by any set")
     for i, s in enumerate(partition.sets):
-        members = [v for v in s if 0 <= v < n]
-        if len(members) != len(s) or not members:
+        if any(not 0 <= v < n for v in s):
             continue
-        _, connected = induced_subgraph(graph, members)
+        _, connected = induced_subgraph(graph, s)
         if not connected:
             violations.append(f"set {i}: induced subgraph is disconnected")
     if partition.centers is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localsets import Partition
-from .sampling import LocalWeights, NoiseModel, equivalent_noise_sigma
+from .sampling import LocalWeights, NoiseModel, equivalent_noise_sigma, make_weights
 
 __all__ = [
     "ErrorBoundReport",
@@ -102,9 +102,9 @@ def expected_bound(
             raise ValueError("empty noise model")
         if not np.all(sig == sig[0]):
             raise ValueError("iid shortcut requires constant sigma(v)")
-        for w in weights.values:
-            if not np.allclose(w, 1.0 / w.size, rtol=0.0, atol=1e-12):
-                raise ValueError("iid shortcut requires uniform weights")
+        uniform = make_weights("uniform", weights.partition).flat_values()
+        if not np.allclose(weights.flat_values(), uniform, rtol=0.0, atol=1e-12):
+            raise ValueError("iid shortcut requires uniform weights")
         leading = partition.n_sets * float(sig[0]) * _HALF_NORMAL_MEAN / (1.0 - gamma)
     else:
         eq = equivalent_noise_sigma(weights, noise)

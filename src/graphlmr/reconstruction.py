@@ -260,10 +260,9 @@ def ipr(
     """
     if partition.centers is None:
         raise ValueError("ipr requires a partition with centers")
-    weights = LocalWeights(partition, tuple(
-        np.arange(len(s)) == s.index(c)
-        for c, s in zip(partition.centers, partition.sets)
-    ))
+    verts, ids = partition.member_arrays()
+    at_center = verts == np.array(partition.centers)[ids]
+    weights = LocalWeights.from_flat(partition, at_center)
     return ilmr(decimated, partition, weights, basis, config, c_max=q_max)
 
 

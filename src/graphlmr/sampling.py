@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -58,57 +59,70 @@ class NoiseModel:
         return NoiseModel(sigma=np.full(n_vertices, float(sigma)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LocalWeights:
-    """One weight vector per set, aligned with the partition's member order.
+    """Convex weights for every set, one array in partition member order;
+    ``values[i][j]``, a view of it, weights vertex ``partition.sets[i][j]``.
 
-    ``values[i][j]`` weights vertex ``partition.sets[i][j]``.  Construction
-    renormalizes every vector to sum 1 and rejects negative entries or
-    all-zero vectors, so downstream code can rely on convex weights; vectors
-    already summing to 1 pass through bitwise so round-trips are exact.
+    Both constructors renormalize every vector to sum 1 and reject negative
+    entries or all-zero vectors; vectors already summing to 1 pass through
+    bitwise so round-trips are exact.
     """
 
     partition: Partition
-    values: tuple[np.ndarray, ...]
+    _flat: np.ndarray
 
-    def __post_init__(self):
-        sets = self.partition.sets
-        if len(self.values) != len(sets):
-            raise ValueError(
-                f"{len(self.values)} weight vectors for {len(sets)} sets"
-            )
-        arrs = [np.asarray(w, dtype=np.float64) for w in self.values]
-        for i, (s, arr) in enumerate(zip(sets, arrs)):
-            if arr.shape != (len(s),):
+    def __init__(self, partition: Partition, values: Sequence[np.ndarray]):
+        sets = partition.sets
+        if len(values) != len(sets):
+            raise ValueError(f"{len(values)} weight vectors for {len(sets)} sets")
+        for i, (s, w) in enumerate(zip(sets, values)):
+            if np.shape(w) != (len(s),):
                 raise ValueError(
-                    f"set {i}: expected {len(s)} weights, got shape {arr.shape}"
+                    f"set {i}: expected {len(s)} weights, got shape {np.shape(w)}"
                 )
-        flat = np.concatenate(arrs) if arrs else np.zeros(0)
-        _, ids = self.partition.member_arrays()
+        self._store(partition, np.concatenate(values) if len(values) else np.zeros(0))
+
+    @classmethod
+    def from_flat(cls, partition: Partition, flat: np.ndarray) -> "LocalWeights":
+        """Weights given as one array in partition member order."""
+        weights = cls.__new__(cls)
+        weights._store(partition, flat)
+        return weights
+
+    def _store(self, partition: Partition, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        verts, ids = partition.member_arrays()
+        if flat.shape != verts.shape:
+            raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
         bad = (flat < 0) | ~np.isfinite(flat)
         if bad.any():
             i = ids[bad.argmax()]
             raise ValueError(f"set {i}: weights must be finite and >= 0")
-        totals = self.partition.sum_by_set(flat)
+        totals = partition.sum_by_set(flat)
         if (totals <= 0).any():
             raise ValueError(f"set {(totals <= 0).argmax()}: weights sum to zero")
         # dividing by exactly 1 keeps already normalized input bit-stable
         flat = flat / np.where(np.abs(totals - 1.0) > 1e-12, totals, 1.0)[ids]
         flat.flags.writeable = False
-        object.__setattr__(self, "_flat_values", flat)
-        starts = np.cumsum(self.partition.sizes()[:-1])
-        values = tuple(np.split(flat, starts)) if sets else ()
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "_flat", flat)
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """One read-only view of the flat array per set."""
+        starts, sizes = self.partition.set_starts(), self.partition.sizes()
+        return tuple(self._flat[a:a + m] for a, m in zip(starts, sizes))
 
     def flat_values(self) -> np.ndarray:
         """Weights concatenated in partition member order."""
-        return self._flat_values
+        return self._flat
 
     def to_matrix(self, n_vertices: int) -> np.ndarray:
         """Dense (n_sets, n_vertices) matrix whose rows are the weight vectors."""
         mat = np.zeros((self.partition.n_sets, n_vertices))
         verts, ids = self.partition.member_arrays()
-        mat[ids, verts] = self._flat_values
+        mat[ids, verts] = self._flat
         return mat
 
 
@@ -128,6 +142,8 @@ def make_weights(
       strictly positive sigma everywhere).
     - ``optimal_dirac``: all mass on the member with smallest sigma, ties to
       the lowest vertex index (requires ``noise``, same positivity rule).
+
+    The draws equal one ``rng.random(|N|)`` or ``rng.integers(|N|)`` per set.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(
@@ -142,31 +158,24 @@ def make_weights(
             raise ValueError(
                 f"scheme {scheme!r} requires sigma(v) > 0 on all vertices"
             )
-    values: list[np.ndarray] = []
-    for s in partition.sets:
-        m = len(s)
-        if scheme == "uniform":
-            w = np.full(m, 1.0 / m)
-        elif scheme == "random":
-            w = rng.random(m)
-            while w.sum() == 0.0:  # measure-zero, but keep the invariant airtight
-                w = rng.random(m)
-        elif scheme == "dirac":
-            w = np.zeros(m)
-            w[rng.integers(m)] = 1.0
-        elif scheme == "optimal":
-            w = 1.0 / noise.sigma[np.asarray(s)] ** 2
-        else:  # optimal_dirac
-            sig = noise.sigma[np.asarray(s)]
-            best = sig.min()
-            # ties go to the lowest vertex index, not the lowest position
-            pick = min(
-                (v, j) for j, v in enumerate(s) if sig[j] == best
-            )[1]
-            w = np.zeros(m)
-            w[pick] = 1.0
-        values.append(w)
-    return LocalWeights(partition=partition, values=tuple(values))
+    verts, ids = partition.member_arrays()
+    sizes, starts = partition.sizes(), partition.set_starts()
+    if scheme == "uniform":
+        w = (1.0 / sizes)[ids]
+    elif scheme == "random":
+        w = rng.random(verts.size)
+        # measure-zero, but keep the invariant airtight: redraw sets summing to 0
+        while (hit := partition.sum_by_set(w) == 0.0).any():
+            w[hit[ids]] = rng.random(int(sizes[hit].sum()))
+    elif scheme == "optimal":
+        w = 1.0 / noise.sigma[verts] ** 2
+    else:
+        w = np.zeros(verts.size)
+        if scheme == "dirac":
+            w[starts + rng.integers(sizes)] = 1.0
+        else:  # optimal_dirac; ties go to the lowest vertex index, not position
+            w[np.lexsort((verts, noise.sigma[verts], ids))[starts]] = 1.0
+    return LocalWeights.from_flat(partition, w)
 
 
 def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
@@ -212,11 +221,11 @@ def equivalent_noise_sigma(
 
 def format_weights(weights: LocalWeights) -> str:
     """Serialize: ``<set index> v1:w1 v2:w2 ...`` per line, zero entries kept."""
-    lines = []
-    for i, (s, w) in enumerate(zip(weights.partition.sets, weights.values)):
-        entries = " ".join(f"{v}:{float(w[j])!r}" for j, v in enumerate(s))
-        lines.append(f"{i} {entries}")
-    return "\n".join(lines) + "\n"
+    flat = iter(weights.flat_values().tolist())
+    return "\n".join(
+        f"{i} " + " ".join(f"{v}:{next(flat)!r}" for v in s)
+        for i, s in enumerate(weights.partition.sets)
+    ) + "\n"
 
 
 def parse_weights(text: str, partition: Partition) -> LocalWeights:
@@ -257,10 +266,8 @@ def parse_weights(text: str, partition: Partition) -> LocalWeights:
     missing = [i for i in range(partition.n_sets) if i not in per_set]
     if missing:
         raise ValueError(f"no weights given for sets {missing}")
-    values = []
-    for i, s in enumerate(partition.sets):
-        values.append(np.array([per_set[i].get(v, 0.0) for v in s]))
-    return LocalWeights(partition=partition, values=tuple(values))
+    flat = [per_set[i].get(v, 0.0) for i, s in enumerate(partition.sets) for v in s]
+    return LocalWeights.from_flat(partition, flat)
 
 
 def write_weights(weights: LocalWeights, path: str | Path) -> None:

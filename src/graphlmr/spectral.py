@@ -36,6 +36,8 @@ class SpectralBasis:
         vecs = np.asarray(self.eigenvectors, dtype=np.float64)
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues must be (n,), eigenvectors (n, n)")
+        if np.any(np.diff(vals) < 0):
+            raise ValueError("eigenvalues must be ascending")
         vals = vals.copy()
         vecs = vecs.copy()
         vals.flags.writeable = False
@@ -63,8 +65,8 @@ class SpectralBasis:
         return int(self.band_mask(omega).sum())
 
     def band_vectors(self, omega: float) -> np.ndarray:
-        """Columns spanning the band, shape (n, band_dim)."""
-        return self.eigenvectors[:, self.band_mask(omega)]
+        """Columns spanning the band, shape (n, band_dim); a view of the prefix."""
+        return self.eigenvectors[:, : self.band_dim(omega)]
 
 
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
@@ -128,8 +130,7 @@ def random_bandlimited(
     """
     if norm < 0:
         raise ValueError("norm must be nonnegative")
-    mask = basis.band_mask(omega)
-    k_in = int(mask.sum())
+    k_in = basis.band_dim(omega)
     if k_in == 0:
         raise ValueError("band is empty; no eigenvalues at or below the cutoff")
 
@@ -143,13 +144,13 @@ def random_bandlimited(
                 return vec / scale
         raise RuntimeError("random draw repeatedly produced the zero vector")
 
-    inband = _unit_draw(basis.eigenvectors[:, mask])
+    inband = _unit_draw(basis.eigenvectors[:, :k_in])
     if offband_energy is None or offband_energy == 0.0:
         return norm * inband
     if not 0.0 <= offband_energy < 1.0:
         raise ValueError("offband_energy must lie in [0, 1)")
     if k_in == basis.n:
         raise ValueError("band spans the whole spectrum; no off-band direction")
-    offband = _unit_draw(basis.eigenvectors[:, ~mask])
+    offband = _unit_draw(basis.eigenvectors[:, k_in:])
     f = np.sqrt(1.0 - offband_energy) * inband + np.sqrt(offband_energy) * offband
     return norm * f

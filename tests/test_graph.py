@@ -157,6 +157,34 @@ def test_induced_subgraph_full_set_is_identity():
     assert sub == g and connected
 
 
+@st.composite
+def _graph_and_vertices(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    # unsorted, with repeats
+    chosen = draw(st.lists(vertex, min_size=1, max_size=2 * n))
+    return Graph.from_edges(n, pairs, dedup=True), chosen
+
+
+@given(_graph_and_vertices())
+@settings(max_examples=80, deadline=None)
+def test_induced_subgraph_matches_edge_scan(case):
+    g, chosen = case
+    sub, connected = glm.induced_subgraph(g, chosen)
+    local = {v: i for i, v in enumerate(sorted(set(chosen)))}
+    edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+    assert sub == Graph.from_edges(len(local), edges)
+    reached, grew = {0}, True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    assert connected == (len(reached) == len(local))
+
+
 def test_is_connected():
     assert glm.is_connected(glm.path_graph(6))
     assert glm.is_connected(Graph.from_edges(1, []))

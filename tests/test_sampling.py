@@ -92,6 +92,91 @@ def test_weights_renormalize_and_validate(pair_partition):
         LocalWeights(pair_partition, (np.ones(3), np.ones(2)))
 
 
+def test_weights_from_flat_matches_per_set(pair_partition):
+    flat = np.array([2.0, 2.0, 1.0, 3.0])
+    w = LocalWeights.from_flat(pair_partition, flat)
+    per_set = LocalWeights(pair_partition, (flat[:2], flat[2:]))
+    assert np.array_equal(w.flat_values(), per_set.flat_values())
+    assert np.array_equal(w.flat_values(), [0.5, 0.5, 0.25, 0.75])
+    assert flat[0] == 2.0  # the input is not normalized in place
+    for vec in w.values:  # per-set views of the one stored array
+        assert np.shares_memory(vec, w.flat_values()) and not vec.flags.writeable
+    with pytest.raises(ValueError, match="expected 4 weights"):
+        LocalWeights.from_flat(pair_partition, np.ones(3))
+    with pytest.raises(ValueError, match="set 1: weights must be finite"):
+        LocalWeights.from_flat(pair_partition, np.array([1.0, 1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="set 1: weights sum to zero"):
+        LocalWeights.from_flat(pair_partition, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def _per_set_weights(scheme, partition, noise=None, rng=None):
+    """The per-set loop that make_weights vectorizes; kept as its reference."""
+    values = []
+    for s in partition.sets:
+        m = len(s)
+        if scheme == "uniform":
+            w = np.full(m, 1.0 / m)
+        elif scheme == "random":
+            w = rng.random(m)
+            while w.sum() == 0.0:
+                w = rng.random(m)
+        elif scheme == "dirac":
+            w = np.zeros(m)
+            w[rng.integers(m)] = 1.0
+        elif scheme == "optimal":
+            w = 1.0 / noise.sigma[np.asarray(s)] ** 2
+        else:
+            sig = noise.sigma[np.asarray(s)]
+            pick = min((v, j) for j, v in enumerate(s) if sig[j] == sig.min())[1]
+            w = np.zeros(m)
+            w[pick] = 1.0
+        values.append(w)
+    return LocalWeights(partition, tuple(values))
+
+
+@st.composite
+def _partitions_with_noise(draw):
+    """Shuffled member order, sets of 1 to 8 vertices, sigma drawn from three
+    values so ties within a set are common."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    order = draw(st.permutations(range(n)))
+    sets = []
+    while order:
+        m = draw(st.integers(min_value=1, max_value=min(8, len(order))))
+        sets.append(tuple(order[:m]))
+        order = order[m:]
+    sigma = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    return Partition(sets=tuple(sets)), NoiseModel(sigma=np.array(sigma))
+
+
+@given(case=_partitions_with_noise(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_make_weights_matches_per_set_loop(case, seed):
+    partition, noise = case
+    for scheme in glm.WEIGHT_SCHEMES:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = glm.make_weights(scheme, partition, noise=noise, rng=rng)
+        want = _per_set_weights(scheme, partition, noise=noise, rng=ref_rng)
+        assert np.array_equal(got.flat_values(), want.flat_values()), scheme
+        assert all(np.array_equal(a, b) for a, b in zip(got.values, want.values))
+        assert rng.random() == ref_rng.random(), scheme  # same generator state
+
+
+def test_random_weights_redraw_only_zero_sum_sets():
+    class ZeroSecondSet:
+        def __init__(self):
+            self.sizes = []
+
+        def random(self, size):
+            self.sizes.append(size)
+            return np.array([0.25, 0.75, 0.0]) if len(self.sizes) == 1 else np.ones(size)
+
+    rng = ZeroSecondSet()
+    w = glm.make_weights("random", Partition(sets=((0, 1), (2,))), rng=rng)
+    assert rng.sizes == [3, 1]
+    assert np.array_equal(w.flat_values(), [0.25, 0.75, 1.0])
+
+
 def test_weights_matrix(pair_partition):
     w = glm.make_weights("uniform", pair_partition)
     mat = w.to_matrix(5)

@@ -134,3 +134,28 @@ def test_random_bandlimited_errors(p4):
         glm.random_bandlimited(basis, 10.0, rng, offband_energy=0.5)
     with pytest.raises(ValueError, match="norm"):
         glm.random_bandlimited(basis, 0.1, rng, norm=-1.0)
+
+
+def test_band_vectors_are_a_view_of_the_spectrum_prefix(grid20):
+    _, basis = grid20
+    ub = basis.band_vectors(0.1)
+    assert np.shares_memory(ub, basis.eigenvectors)
+    assert np.array_equal(ub, basis.eigenvectors[:, basis.band_mask(0.1)])
+    with pytest.raises(ValueError, match="ascending"):
+        glm.SpectralBasis(np.array([1.0, 0.0]), np.eye(2))
+
+
+def test_random_bandlimited_offband_matches_masked_draw(grid20):
+    _, basis = grid20
+    omega, e = 0.1, 0.3
+    got = glm.random_bandlimited(basis, omega, np.random.default_rng(4), offband_energy=e)
+    rng, mask = np.random.default_rng(4), basis.band_mask(omega)
+
+    def unit_draw(cols):
+        vec = cols @ rng.standard_normal(cols.shape[1])
+        return vec / np.linalg.norm(vec)
+
+    want = (math.sqrt(1.0 - e) * unit_draw(basis.eigenvectors[:, mask])
+            + math.sqrt(e) * unit_draw(basis.eigenvectors[:, ~mask]))
+    # same draws; BLAS may sum a strided view in another order than a copy
+    assert np.allclose(got, want, rtol=0.0, atol=basis.n * np.finfo(np.float64).eps)
