@@ -104,6 +104,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
+    if graph.n_vertices == 0:
+        raise ValueError(f"{args.graph}: the graph has no vertices to partition")
     partition = greedy_partition(graph, args.nmax)
     metrics = partition_metrics(graph, partition)
     write_partition(partition, args.out)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Graph, is_connected
@@ -13,22 +15,58 @@ def path_graph(n: int) -> Graph:
     """Path on n vertices: 0 - 1 - ... - (n-1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph.from_edges(n, np.stack([v, v + 1], axis=1))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols lattice, vertex (r, c) numbered r * cols + c."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph.from_edges(rows * cols, edges)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    horizontal = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
+    vertical = np.stack([idx[:-1].ravel(), idx[1:].ravel()], axis=1)
+    return Graph.from_edges(rows * cols, np.concatenate([horizontal, vertical]))
+
+
+def _close_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
+    """All pairs ``(i, j)``, ``i < j``, of points within ``radius``.
+
+    Points in the unit square are binned into square cells no smaller than
+    ``radius`` (and about one point per cell at most), so every close pair
+    lies in one cell or two adjacent ones; only those candidates get their
+    squared distance ``dx*dx + dy*dy`` compared with ``radius**2``.
+    """
+    n = len(pts)
+    # 0.999 keeps cells strictly wider than the radius despite rounding
+    g = max(1, min(int(0.999 / radius), math.isqrt(n) + 1))
+    cell = np.minimum((pts * g).astype(np.intp), g - 1)
+    cell_id = cell[:, 0] * g + cell[:, 1]
+    by_cell = np.argsort(cell_id, kind="stable")
+    count = np.bincount(cell_id, minlength=g * g)
+    first = np.cumsum(count) - count
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_cell] = np.arange(n)
+    i_parts, j_parts = [], []
+    # each unordered pair of cells once: the point's own cell, then the
+    # neighbors above and to the right
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        cx, cy = cell[:, 0] + dx, cell[:, 1] + dy
+        src = np.flatnonzero((cx < g) & (cy >= 0) & (cy < g))
+        other = cx[src] * g + cy[src]
+        lo, hi = first[other], first[other] + count[other]
+        if dx == dy == 0:
+            lo = rank[src] + 1  # later points of the same cell
+        span = hi - lo
+        i = np.repeat(src, span)
+        pos = np.arange(len(i)) + np.repeat(lo - (np.cumsum(span) - span), span)
+        i_parts.append(i)
+        j_parts.append(by_cell[pos])
+    i, j = np.concatenate(i_parts), np.concatenate(j_parts)
+    dx = pts[i, 0] - pts[j, 0]
+    dy = pts[i, 1] - pts[j, 1]
+    close = dx * dx + dy * dy <= radius * radius
+    return np.stack([i[close], j[close]], axis=1)
 
 
 def random_geometric_graph(
@@ -49,12 +87,7 @@ def random_geometric_graph(
         raise ValueError("radius must be positive")
     for _ in range(max_tries):
         pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu, ju = np.triu_indices(n, k=1)
-        close = dist2[iu, ju] <= radius * radius
-        edges = list(zip(iu[close].tolist(), ju[close].tolist()))
-        g = Graph.from_edges(n, edges)
+        g = Graph.from_edges(n, _close_pairs(pts, radius))
         if is_connected(g):
             return g
     raise ValueError(

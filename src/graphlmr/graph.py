@@ -2,15 +2,18 @@
 
 Vertices are always the contiguous integers ``0 .. n_vertices - 1``.  Graphs
 are simple (no self-loops, no parallel edges) and unweighted; that is all the
-rest of the package needs.
+rest of the package needs.  A graph is two CSR arrays (row offsets and sorted
+neighbor lists), and every function here works on them with numpy.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +29,9 @@ __all__ = [
 ]
 
 
+_MAX_VERTICES = 2**31 - 1
+
+
 class EdgeListError(ValueError):
     """Malformed or out-of-range edge-list input."""
 
@@ -36,77 +42,217 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices ``0 .. n_vertices - 1``.
 
-    ``edges`` stores each undirected edge exactly once as ``(u, v)`` with
-    ``u < v``, sorted lexicographically; ``adjacency[v]`` is the sorted tuple
-    of neighbors of ``v``.  Instances are immutable, hashable-by-equality on
-    their edge set, and safe to share.
+    Stored as compressed sparse rows: ``indices[indptr[v]:indptr[v + 1]]``
+    are the neighbors of ``v`` in ascending order, so each edge appears once
+    from each end.  Build graphs with :meth:`from_edges`, which validates.
+    ``edges`` (each undirected edge once as ``(u, v)`` with ``u < v``, sorted
+    lexicographically) and ``adjacency`` (the sorted tuple of neighbors of
+    each vertex) are derived on first access.  Instances are immutable, equal
+    and hashable by vertex count and edge set, and safe to share.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        for name in ("indptr", "indices"):
+            arr = np.array(getattr(self, name), dtype=np.intp)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.indptr.shape != (self.n_vertices + 1,) or self.indptr[-1] != len(
+            self.indices
+        ):
+            raise ValueError("indptr must hold n_vertices + 1 offsets into indices")
 
     @staticmethod
     def from_edges(
         n_vertices: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         dedup: bool = False,
     ) -> "Graph":
         """Build a graph, validating and canonicalizing the edge list.
 
-        Self-loops and duplicate edges (in either orientation) raise
-        ``ValueError`` unless ``dedup`` is true, in which case self-loops are
-        dropped and duplicates collapsed.
+        ``edges`` is an iterable of ``(u, v)`` pairs or an ``(m, 2)`` integer
+        array.  An endpoint outside ``0 .. n_vertices - 1`` raises
+        ``ValueError``; so do self-loops and duplicate edges (in either
+        orientation) unless ``dedup`` is true, in which case self-loops are
+        dropped and duplicates collapsed.  The error names the first
+        offending edge in input order.
         """
-        if n_vertices < 0:
+        n = int(n_vertices)
+        if n < 0:
             raise ValueError("n_vertices must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        canonical: list[tuple[int, int]] = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(
-                    f"edge ({u}, {v}) out of range for {n_vertices} vertices"
-                )
-            if u == v:
-                if dedup:
-                    continue
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                if dedup:
-                    continue
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canonical.append(e)
-        canonical.sort()
-        adj: list[list[int]] = [[] for _ in range(n_vertices)]
-        for u, v in canonical:
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph(
-            n_vertices=n_vertices,
-            edges=tuple(canonical),
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
+        if n > _MAX_VERTICES:
+            # edge keys min * n + max must fit in int64
+            raise ValueError(f"{n} vertices exceed the supported {_MAX_VERTICES}")
+        key = _edge_keys(n, edges, dedup)
+        # both orientations of each edge, sorted by (row, neighbor)
+        width = max(n, 1)
+        lo, hi = np.divmod(key, width)
+        both = np.concatenate([key, hi * n + lo])
+        # the stable kind is the sort _edge_keys runs: one sort kernel fewer
+        # to fault into memory per process
+        rows, nbrs = np.divmod(both[np.argsort(both, kind="stable")], width)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return Graph(n_vertices=n, indptr=indptr, indices=nbrs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n_vertices == other.n_vertices
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self.indptr.tobytes(), self.indices.tobytes()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        rows = np.repeat(np.arange(self.n_vertices), self.degrees())
+        upper = self.indices > rows
+        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex as an int array."""
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        """Degree of every vertex as a fresh int array."""
+        return np.diff(self.indptr).astype(np.int64)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
+
+    def induced_union(self, set_ids: np.ndarray, members: np.ndarray) -> "Graph":
+        """The subgraphs induced by several vertex sets, as one graph.
+
+        ``members`` are distinct vertices sorted by ``set_ids`` and then by
+        vertex; vertex ``j`` of the result is ``members[j]``, and it keeps
+        the edges to members of its own set.
+        """
+        n, m = self.n_vertices, len(members)
+        key = set_ids * n + members  # ascending
+        owner, nbrs = self.neighbors_of(members)
+        want = set_ids[owner] * n + nbrs
+        pos = np.minimum(np.searchsorted(key, want), m - 1)
+        inside = key[pos] == want
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner[inside], minlength=m), out=indptr[1:])
+        return Graph(n_vertices=m, indptr=indptr, indices=pos[inside])
+
+    def neighbors_of(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every neighbor of every vertex in ``vertices``, as flat arrays.
+
+        Returns ``(owner, neighbor)``: ``neighbor[j]`` is adjacent to
+        ``vertices[owner[j]]``; owners ascend and each owner's neighbors
+        ascend.
+        """
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        owner = np.repeat(np.arange(len(counts)), counts)
+        pos = np.arange(len(owner))
+        pos += (starts - (np.cumsum(counts) - counts))[owner]
+        return owner, self.indices[pos]
+
+
+def _edge_keys(
+    n: int, edges: Iterable[tuple[int, int]] | np.ndarray, dedup: bool
+) -> np.ndarray:
+    """Sorted distinct ``min * n + max`` keys of the edges.
+
+    Raises ``ValueError`` for the first offending edge in input order: one
+    out of range, or, unless ``dedup`` drops them, a self-loop or a repeat
+    of an earlier edge.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        # a value beyond int64 is out of range for any graph; -1 keeps it so
+        pairs = np.array(
+            [[x if 0 <= x < n else -1 for x in map(int, e)] for e in edges],
+            dtype=np.int64,
+        )
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    out = (lo < 0) | (hi >= n)
+    loop = ~out & (lo == hi)
+    valid = np.flatnonzero(~out & ~loop)
+    # sorted stably, an edge equal to its predecessor repeats an earlier one
+    key = lo[valid] * n + hi[valid]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[1:] = key[1:] == key[:-1]
+    flagged = out if dedup else out | loop
+    if not dedup:
+        flagged[valid[order[repeat]]] = True
+    if flagged.any():
+        i = int(np.argmax(flagged))
+        u, v = (int(x) for x in edges[i])
+        if out[i]:
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if loop[i]:
+            raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+    return key[~repeat]
+
+
+def _is_data(fields: list[str]) -> bool:
+    """An edge-list line holds data unless it is blank or a ``#`` comment."""
+    return bool(fields) and not fields[0].startswith("#")
+
+
+def _int64_pairs(text: str) -> np.ndarray | None:
+    """Every data line as a row of an ``(m, 2)`` int64 array, in one numpy
+    conversion; ``None`` when some data line is not two integers that fit."""
+    if "#" in text:
+        rows = list(filter(_is_data, map(str.split, text.splitlines())))
+        if not set(map(len, rows)) <= {2}:
+            return None
+        tokens = list(chain.from_iterable(rows))
+    else:
+        # every line is blank or data: check the field counts, keep no rows
+        if not set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
+            return None
+        tokens = text.split()
+    try:
+        return np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _leading_int_rows(rows: list[list[str]]) -> np.ndarray:
+    """The rows before the first one that is not two integers, as an
+    ``(r, 2)`` object array of Python ints (which may exceed int64)."""
+    values = []
+    for f in rows:
+        try:
+            a, b = (int(x) for x in f)
+        except ValueError:
+            break
+        values.append((a, b))
+    return np.array(values, dtype=object).reshape(-1, 2)
 
 
 def parse_edge_list(
@@ -123,50 +269,57 @@ def parse_edge_list(
     against the number of edges actually read.  Without a header the vertex
     count is inferred as ``max index + 1`` (after ``index_base`` shifting).
     ``index_base=1`` converts 1-based input to the internal 0-based indexing.
+    Errors name the line of the first bad data line, as a line-by-line read
+    would.
     """
     if index_base not in (0, 1):
         raise EdgeListError(f"index_base must be 0 or 1, got {index_base}")
-    pairs: list[tuple[int, int]] = []
-    declared: tuple[int, int] | None = None
-    expect_header = header
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    values = _int64_pairs(text)
+    rows = None
+    if values is None:  # find the first malformed line, reading line by line
+        rows = list(filter(_is_data, map(str.split, text.splitlines())))
+        values = _leading_int_rows(rows)
+    n_rows = len(values) if rows is None else len(rows)
+
+    def line_no(row: int) -> int:
+        lines = enumerate(text.splitlines(), 1)
+        data = (no for no, raw in lines if _is_data(raw.split()))
+        return next(islice(data, row, None))
+
+    start = 1 if header and len(values) else 0
+    if start and (values[0] < 0).any():
+        raise EdgeListError("negative count in N M header", line_no(0))
+    below = np.flatnonzero((values[start:] < index_base).any(axis=1))
+    if below.size:
+        row = start + int(below[0])
+        a, b = values[row]
+        raise EdgeListError(
+            f"vertex index below base {index_base} in ({a}, {b})", line_no(row)
+        )
+    if len(values) < n_rows:
+        fields = rows[len(values)]
         if len(fields) != 2:
             raise EdgeListError(
-                f"expected two integers, got {len(fields)} fields", line_no
+                f"expected two integers, got {len(fields)} fields",
+                line_no(len(values)),
             )
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListError(f"non-integer field in {fields!r}", line_no) from None
-        if expect_header:
-            if a < 0 or b < 0:
-                raise EdgeListError("negative count in N M header", line_no)
-            declared = (a, b)
-            expect_header = False
-            continue
-        u, v = a - index_base, b - index_base
-        if u < 0 or v < 0:
-            raise EdgeListError(
-                f"vertex index below base {index_base} in ({a}, {b})", line_no
-            )
-        pairs.append((u, v))
-    if expect_header:
+        raise EdgeListError(
+            f"non-integer field in {fields!r}", line_no(len(values))
+        )
+    if header and not n_rows:
         raise EdgeListError("header requested but no data lines present")
-    if declared is not None:
-        n = declared[0]
+    pairs = values[start:] - index_base
+    if start:
+        n = int(values[0, 0])
     else:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
+        n = int(pairs.max()) + 1 if len(pairs) else 0
     try:
         g = Graph.from_edges(n, pairs, dedup=dedup)
     except ValueError as exc:
         raise EdgeListError(str(exc)) from None
-    if declared is not None and g.n_edges != declared[1]:
+    if start and g.n_edges != values[0, 1]:
         raise EdgeListError(
-            f"header declares {declared[1]} edges but {g.n_edges} were read"
+            f"header declares {values[0, 1]} edges but {g.n_edges} were read"
         )
     return g
 
@@ -189,13 +342,26 @@ def build_laplacian(graph: Graph) -> np.ndarray:
     edge and ``L[v, v]`` is the degree of ``v``.
     """
     n = graph.n_vertices
+    degrees = graph.degrees()
     lap = np.zeros((n, n), dtype=np.float64)
-    for u, v in graph.edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] = -1.0
-        lap[v, u] = -1.0
+    lap[np.repeat(np.arange(n), degrees), graph.indices] = -1.0
+    lap.flat[:: n + 1] = degrees
     return lap
+
+
+def _hop_distances(graph: Graph, source: int) -> list[int]:
+    """Hop distance from ``source`` to every vertex, -1 where unreachable."""
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
+    dist = [-1] * graph.n_vertices
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in nbrs[ptr[u]:ptr[u + 1]]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def bfs_distance(graph: Graph, source: int, target: int) -> int | None:
@@ -203,19 +369,8 @@ def bfs_distance(graph: Graph, source: int, target: int) -> int | None:
     n = graph.n_vertices
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError(f"vertex out of range for {n} vertices")
-    if source == target:
-        return 0
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == target:
-                    return dist[w]
-                queue.append(w)
-    return None
+    dist = _hop_distances(graph, source)[target]
+    return dist if dist >= 0 else None
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool]:
@@ -224,34 +379,18 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool
     The subgraph is reindexed to ``0 .. len(vertices) - 1`` following the
     sorted order of the (deduplicated) input vertices.
     """
-    vs = sorted(set(int(v) for v in vertices))
-    if not vs:
+    vs = np.unique(np.fromiter(map(int, vertices), dtype=np.intp))
+    if not vs.size:
         raise ValueError("vertex set must be nonempty")
     n = graph.n_vertices
     if vs[0] < 0 or vs[-1] >= n:
         raise ValueError(f"vertex out of range for {n} vertices")
-    local = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (i, local[w])
-        for i, u in enumerate(vs)
-        for w in graph.adjacency[u]
-        if w > u and w in local
-    ]
-    sub = Graph.from_edges(len(vs), edges)
+    sub = graph.induced_union(np.zeros_like(vs), vs)
     return sub, is_connected(sub)
 
 
 def is_connected(graph: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (empty graph counts)."""
-    n = graph.n_vertices
-    if n <= 1:
+    if graph.n_vertices <= 1:
         return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
+    return -1 not in _hop_distances(graph, 0)

@@ -7,16 +7,17 @@ reconstruction quality is controlled by the per-set score sqrt(|N| * D)
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 
 __all__ = [
     "Partition",
@@ -102,44 +103,145 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
     vertices and their incident edges then leave the remaining graph.
     Degrees are measured in the remaining graph as of the round's start, and
     all ties break toward the lowest vertex index, so the result is
-    deterministic.  Runs in roughly O(N * (N/n_max)) on the small graphs this
-    package targets.
+    deterministic.  Seeds come from a heap, so the whole run costs
+    O((N + E) log N).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     n = graph.n_vertices
+    ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
+    nbrs = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+    # rank[v] = (degree of v in the remaining graph) * n + v orders vertices
+    # by degree, then index, and names v (v = rank % n); it changes only
+    # between rounds, and only downward.  The heap holds every rank a vertex
+    # has had; an older rank is larger, so it surfaces only after the vertex
+    # has left, and entries of removed vertices are skipped.
+    rank = (graph.degrees() * n + np.arange(n)).tolist()
+    rank_of = rank.__getitem__
+    heap = rank.copy()
+    heapq.heapify(heap)
+    alive = [True] * n
+    is_alive = alive.__getitem__
     sets: list[tuple[int, ...]] = []
-    if n == 0:
-        return Partition(sets=())
-    # work[v] = degree of v in the remaining graph, frozen during a round;
-    # removed vertices get a sentinel larger than any degree.
-    sentinel = np.iinfo(np.int64).max
-    work = graph.degrees()
-    alive = np.ones(n, dtype=bool)
     remaining = n
     while remaining:
-        seed = int(np.argmin(work))  # argmin takes the first (lowest index) min
+        top = heapq.heappop(heap)
+        seed = top % n
+        if not alive[seed]:
+            continue
         members = [seed]
-        in_set = {seed}
-        frontier = {w for w in graph.adjacency[seed] if alive[w]}
+        alive[seed] = False
+        # ranks of the alive neighbors of the set, so min() picks directly
+        frontier = set(map(rank_of, filter(is_alive, nbrs[seed])))
         while len(members) < n_max and frontier:
-            pick = min(frontier, key=lambda v: (work[v], v))
+            top = min(frontier)
+            frontier.remove(top)
+            pick = top % n
             members.append(pick)
-            in_set.add(pick)
-            frontier.discard(pick)
-            frontier.update(
-                w for w in graph.adjacency[pick] if alive[w] and w not in in_set
-            )
+            alive[pick] = False
+            frontier.update(map(rank_of, filter(is_alive, nbrs[pick])))
         for v in members:
-            alive[v] = False
-            work[v] = sentinel
-        for v in members:
-            for w in graph.adjacency[v]:
-                if alive[w]:
-                    work[w] -= 1
+            for w in filter(is_alive, nbrs[v]):
+                rank[w] -= n
+                heapq.heappush(heap, rank[w])
         sets.append(tuple(members))
         remaining -= len(members)
     return Partition(sets=tuple(sets))
+
+
+@dataclass(frozen=True)
+class _Reach:
+    """Hop distances inside each checked set, from every member to every member.
+
+    ``members`` lists the distinct vertices of the checked sets, sorted by
+    set and then vertex; set ``i`` owns ``members[start[i]:start[i] + size[i]]``
+    (``size[i] == 0`` for a set that was not checked).  Its distances form
+    the ``size[i] x size[i]`` row-major block of ``dist`` at
+    ``block[i]``, -1 where the set's induced subgraph has no path.
+    """
+
+    members: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    block: np.ndarray
+    dist: np.ndarray
+
+
+def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
+               n_sets: int) -> _Reach:
+    """Breadth-first search from every member of every set at once.
+
+    ``members`` are distinct in-range vertices sorted by ``set_ids`` and then
+    by vertex.  A frontier of (source, member) pairs walks the sets' induced
+    subgraphs one level per step, for all sources at once.  Work is
+    O(sum |N_i| (|N_i| + e_i)) and memory O(sum |N_i|^2).
+    """
+    union = graph.induced_union(set_ids, members)
+    m = len(members)
+    size = np.bincount(set_ids, minlength=n_sets)
+    start = np.cumsum(size) - size
+    block = np.cumsum(size * size) - size * size
+    # dist[row[r] + q]: hop distance from source r to target q (positions)
+    local = np.arange(m) - start[set_ids]
+    row = block[set_ids] + local * size[set_ids] - start[set_ids]
+    dist = np.full(int((size * size).sum()), -1, dtype=np.int32)
+    source = target = np.arange(m)
+    dist[row + target] = 0
+    level = 0
+    while source.size:
+        level += 1
+        step, target = union.neighbors_of(target)
+        source = source[step]
+        pair = row[source] + target
+        fresh = np.flatnonzero(dist[pair] < 0)
+        pair, first = np.unique(pair[fresh], return_index=True)
+        dist[pair] = level
+        source, target = source[fresh[first]], target[fresh[first]]
+    return _Reach(members=members, start=start, size=size, block=block, dist=dist)
+
+
+def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
+    """Violations of :func:`validate_partition` plus the reach they came from."""
+    n, n_sets = graph.n_vertices, partition.n_sets
+    verts, ids = partition.member_arrays()
+    order = np.lexsort((verts, ids))
+    v, s = verts[order], ids[order]
+    distinct = np.ones(len(v), dtype=bool)
+    distinct[1:] = (v[1:] != v[:-1]) | (s[1:] != s[:-1])
+    v, s = v[distinct], s[distinct]
+    repeated = np.bincount(s, minlength=n_sets) != partition.sizes()
+    in_range = (v >= 0) & (v < n)
+    # first[x] = lowest set holding vertex x (n_sets when none does)
+    first = np.full(n, n_sets, dtype=np.intp)
+    np.minimum.at(first, v[in_range], s[in_range])
+    overlap = np.zeros(len(v), dtype=bool)
+    overlap[in_range] = first[v[in_range]] != s[in_range]
+    events = [(i, -1, f"set {i}: repeated vertex within the set")
+              for i in np.flatnonzero(repeated).tolist()]
+    for j in np.flatnonzero(~in_range | overlap).tolist():
+        i, x = int(s[j]), int(v[j])
+        events.append((i, j, f"set {i}: vertex {x} out of range [0, {n})"
+                       if not in_range[j] else
+                       f"vertex {x} appears in sets {first[x]} and {i}"))
+    violations = [msg for _, _, msg in sorted(events)]
+    missing = int(np.count_nonzero(first == n_sets))
+    if missing > 0:
+        violations.append(f"{missing} vertices not covered by any set")
+    # sets holding an out-of-range vertex are not searched
+    checked = np.bincount(s[~in_range], minlength=n_sets)[s] == 0
+    reach = _set_reach(graph, s[checked], v[checked], n_sets)
+    sets = np.flatnonzero(reach.size)
+    if sets.size:
+        connected = np.minimum.reduceat(reach.dist, reach.block[sets]) >= 0
+        violations += [f"set {i}: induced subgraph is disconnected"
+                       for i in sets[~connected].tolist()]
+    if partition.centers is not None:
+        centers = np.array(partition.centers, dtype=np.intp)
+        has_center = np.zeros(n_sets, dtype=bool)
+        has_center[ids[verts == centers[ids]]] = True
+        violations += [f"set {i}: center {partition.centers[i]} is not a member"
+                       for i in np.flatnonzero(~has_center).tolist()]
+    return violations, reach
 
 
 def validate_partition(graph: Graph, partition: Partition) -> list[str]:
@@ -149,35 +251,7 @@ def validate_partition(graph: Graph, partition: Partition) -> list[str]:
     vertex appearing in more than one set, vertices not covered by any set,
     a disconnected set, and a declared center outside its own set.
     """
-    n = graph.n_vertices
-    violations: list[str] = []
-    seen: dict[int, int] = {}
-    for i, s in enumerate(partition.sets):
-        if len(set(s)) != len(s):
-            violations.append(f"set {i}: repeated vertex within the set")
-        for v in sorted(set(s)):
-            if not 0 <= v < n:
-                violations.append(f"set {i}: vertex {v} out of range [0, {n})")
-            elif v in seen:
-                violations.append(
-                    f"vertex {v} appears in sets {seen[v]} and {i}"
-                )
-            else:
-                seen[v] = i
-    missing = n - len(seen)
-    if missing > 0:
-        violations.append(f"{missing} vertices not covered by any set")
-    for i, s in enumerate(partition.sets):
-        if any(not 0 <= v < n for v in s):
-            continue
-        _, connected = induced_subgraph(graph, s)
-        if not connected:
-            violations.append(f"set {i}: induced subgraph is disconnected")
-    if partition.centers is not None:
-        for i, (c, s) in enumerate(zip(partition.centers, partition.sets)):
-            if c not in s:
-                violations.append(f"set {i}: center {c} is not a member")
-    return violations
+    return _check_partition(graph, partition)[0]
 
 
 @dataclass(frozen=True)
@@ -200,42 +274,18 @@ class PartitionMetrics:
     q_max: float | None = None
 
 
-def _bfs_levels(adj: Sequence[tuple[int, ...]], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
     """Compute per-set diameters (and center radii/subtree sizes) plus scores.
 
     Raises ``ValueError`` when the partition is not valid for the graph.
     """
-    violations = validate_partition(graph, partition)
+    violations, reach = _check_partition(graph, partition)
     if violations:
         raise ValueError(f"invalid partition: {violations[0]}")
-    sizes: list[int] = []
-    diameters: list[int] = []
-    radii: list[int] | None = [] if partition.centers is not None else None
-    subtree: list[int] | None = [] if partition.centers is not None else None
-    for i, s in enumerate(partition.sets):
-        sub, _ = induced_subgraph(graph, s)
-        order = sorted(s)
-        all_dists = [_bfs_levels(sub.adjacency, v) for v in range(sub.n_vertices)]
-        diameter = max(max(d.values()) for d in all_dists)
-        sizes.append(len(s))
-        diameters.append(diameter)
-        if partition.centers is not None:
-            c_local = order.index(partition.centers[i])
-            dist = all_dists[c_local]
-            radii.append(max(dist.values()))
-            subtree.append(_max_branch(sub.adjacency, c_local))
+    sizes = partition.sizes().tolist()
+    diameters = (
+        np.maximum.reduceat(reach.dist, reach.block).tolist() if sizes else []
+    )
     c_max = max(
         math.sqrt(n * d) for n, d in zip(sizes, diameters)
     ) if sizes else 0.0
@@ -243,6 +293,14 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
         return PartitionMetrics(
             sizes=tuple(sizes), diameters=tuple(diameters), c_max=c_max
         )
+    radii: list[int] = []
+    subtree: list[int] = []
+    for i, c in enumerate(partition.centers):
+        k, first = int(reach.size[i]), int(reach.start[i])
+        members = reach.members[first:first + k]
+        row = reach.block[i] + k * int(np.searchsorted(members, c))
+        radii.append(int(reach.dist[row:row + k].max()))
+        subtree.append(_max_branch(graph, set(members.tolist()), c))
     q_max = max(
         math.sqrt(k * r) for k, r in zip(subtree, radii)
     ) if sizes else 0.0
@@ -256,21 +314,22 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
     )
 
 
-def _max_branch(adj: Sequence[tuple[int, ...]], root: int) -> int:
+def _max_branch(graph: Graph, members: set[int], root: int) -> int:
     """Largest subtree size among the root's children in a BFS tree.
 
-    The tree follows first discovery with neighbors scanned in ascending
-    order, which makes the value deterministic.  A root with no children
-    (singleton set) scores 0.
+    The tree spans the subgraph induced by ``members`` and follows first
+    discovery with neighbors scanned in ascending order, which makes the
+    value deterministic.  A root with no children (singleton set) scores 0.
     """
+    ptr, nbrs = graph.indptr, graph.indices
     parent = {root: None}
     queue = deque([root])
     order = []
     while queue:
         u = queue.popleft()
         order.append(u)
-        for w in adj[u]:
-            if w not in parent:
+        for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
+            if w in members and w not in parent:
                 parent[w] = u
                 queue.append(w)
     count = {v: 1 for v in order}

@@ -105,6 +105,17 @@ def test_errors_exit_2(tmp_path, capsys, argv_builder):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_partition_empty_edge_list_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.edges"
+    path.write_text("# no edges at all\n\n", encoding="utf-8")
+    out = tmp_path / "sets.txt"
+    assert main(["partition", "--graph", str(path), "--nmax", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: the graph has no vertices to partition\n"
+    assert not out.exists()
+
+
 def test_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("graph = hypercube\n", encoding="utf-8")
