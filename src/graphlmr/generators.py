@@ -30,7 +30,8 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def _close_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
-    """All pairs ``(i, j)``, ``i < j``, of points within ``radius``.
+    """Each unordered pair of points within ``radius`` once, as ``(m, 2)``
+    rows in no particular orientation.
 
     Points in the unit square are binned into square cells no smaller than
     ``radius`` (and about one point per cell at most), so every close pair

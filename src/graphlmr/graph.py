@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -226,18 +226,18 @@ def _is_data(fields: list[str]) -> bool:
 def _int64_pairs(text: str) -> np.ndarray | None:
     """Every data line as a row of an ``(m, 2)`` int64 array, in one numpy
     conversion; ``None`` when some data line is not two integers that fit."""
-    if "#" in text:
-        rows = list(filter(_is_data, map(str.split, text.splitlines())))
-        if not set(map(len, rows)) <= {2}:
-            return None
-        tokens = list(chain.from_iterable(rows))
-    else:
-        # every line is blank or data: check the field counts, keep no rows
-        if not set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
-            return None
-        tokens = text.split()
+    # blank lines split to no fields, so only comments need dropping; the
+    # "#" test spares the strip on almost every line
+    data = [
+        line for line in text.splitlines()
+        if "#" not in line or not line.lstrip().startswith("#")
+    ]
+    if not set(map(len, map(str.split, data))) <= {0, 2}:
+        return None
+    joined = " ".join(data)
+    del data  # the lines go before the tokens arrive: a lower peak
     try:
-        return np.array(tokens, dtype=np.int64).reshape(-1, 2)
+        return np.array(joined.split(), dtype=np.int64).reshape(-1, 2)
     except (ValueError, OverflowError):
         return None
 
@@ -379,10 +379,13 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool
     The subgraph is reindexed to ``0 .. len(vertices) - 1`` following the
     sorted order of the (deduplicated) input vertices.
     """
-    vs = np.unique(np.fromiter(map(int, vertices), dtype=np.intp))
+    n = graph.n_vertices
+    # any vertex outside -1 .. n is as out of range as -1 or n, and fits intp
+    vs = np.unique(
+        np.fromiter((min(max(int(v), -1), n) for v in vertices), dtype=np.intp)
+    )
     if not vs.size:
         raise ValueError("vertex set must be nonempty")
-    n = graph.n_vertices
     if vs[0] < 0 or vs[-1] >= n:
         raise ValueError(f"vertex out of range for {n} vertices")
     sub = graph.induced_union(np.zeros_like(vs), vs)

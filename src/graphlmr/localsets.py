@@ -203,32 +203,49 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
     """Violations of :func:`validate_partition` plus the reach they came from."""
     n, n_sets = graph.n_vertices, partition.n_sets
-    verts, ids = partition.member_arrays()
-    order = np.lexsort((verts, ids))
-    v, s = verts[order], ids[order]
-    distinct = np.ones(len(v), dtype=bool)
-    distinct[1:] = (v[1:] != v[:-1]) | (s[1:] != s[:-1])
-    v, s = v[distinct], s[distinct]
-    repeated = np.bincount(s, minlength=n_sets) != partition.sizes()
-    in_range = (v >= 0) & (v < n)
+    try:
+        verts, ids = partition.member_arrays()
+        sizes = partition.sizes()
+    except OverflowError:
+        # a member beyond int64 is out of range for any graph; -1 keeps it so
+        sizes = np.array([len(s) for s in partition.sets], dtype=np.intp)
+        verts = np.fromiter(
+            (v if 0 <= v < n else -1 for s in partition.sets for v in s),
+            dtype=np.intp, count=int(sizes.sum()),
+        )
+        ids = np.repeat(np.arange(n_sets), sizes)
+    in_range = (verts >= 0) & (verts < n)
+    # sets holding an out-of-range vertex are reported from their own tuples
+    # (the vertex as given) and not searched
+    bad = np.zeros(n_sets, dtype=bool)
+    bad[ids[~in_range]] = True
+    # the distinct in-range (set, vertex) pairs, sorted by set and then
+    # vertex; the stable argsort is the kernel Graph.from_edges already ran
+    key = ids[in_range] * n + verts[in_range]
+    key = key[np.argsort(key, kind="stable")]
+    distinct = np.ones(len(key), dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    s, v = np.divmod(key[distinct], max(n, 1))
+    repeated = np.bincount(s, minlength=n_sets) != sizes
     # first[x] = lowest set holding vertex x (n_sets when none does)
     first = np.full(n, n_sets, dtype=np.intp)
-    np.minimum.at(first, v[in_range], s[in_range])
-    overlap = np.zeros(len(v), dtype=bool)
-    overlap[in_range] = first[v[in_range]] != s[in_range]
-    events = [(i, -1, f"set {i}: repeated vertex within the set")
-              for i in np.flatnonzero(repeated).tolist()]
-    for j in np.flatnonzero(~in_range | overlap).tolist():
-        i, x = int(s[j]), int(v[j])
-        events.append((i, j, f"set {i}: vertex {x} out of range [0, {n})"
-                       if not in_range[j] else
-                       f"vertex {x} appears in sets {first[x]} and {i}"))
-    violations = [msg for _, _, msg in sorted(events)]
+    np.minimum.at(first, v, s)
+    overlap = np.flatnonzero(first[v] != s)
+    # each event sorts by (set, 0) for a repeat, (set, 1, vertex) otherwise
+    events = [((i, 1, x), f"vertex {x} appears in sets {first[x]} and {i}")
+              for i, x in zip(s[overlap].tolist(), v[overlap].tolist())]
+    for i in np.flatnonzero(bad).tolist():
+        members = partition.sets[i]
+        repeated[i] = len(set(members)) != len(members)
+        events += [((i, 1, x), f"set {i}: vertex {x} out of range [0, {n})")
+                   for x in set(members) if not 0 <= x < n]
+    events += [((i, 0), f"set {i}: repeated vertex within the set")
+               for i in np.flatnonzero(repeated).tolist()]
+    violations = [msg for _, msg in sorted(events)]
     missing = int(np.count_nonzero(first == n_sets))
     if missing > 0:
         violations.append(f"{missing} vertices not covered by any set")
-    # sets holding an out-of-range vertex are not searched
-    checked = np.bincount(s[~in_range], minlength=n_sets)[s] == 0
+    checked = ~bad[s]
     reach = _set_reach(graph, s[checked], v[checked], n_sets)
     sets = np.flatnonzero(reach.size)
     if sets.size:
@@ -236,11 +253,11 @@ def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Re
         violations += [f"set {i}: induced subgraph is disconnected"
                        for i in sets[~connected].tolist()]
     if partition.centers is not None:
-        centers = np.array(partition.centers, dtype=np.intp)
-        has_center = np.zeros(n_sets, dtype=bool)
-        has_center[ids[verts == centers[ids]]] = True
-        violations += [f"set {i}: center {partition.centers[i]} is not a member"
-                       for i in np.flatnonzero(~has_center).tolist()]
+        violations += [
+            f"set {i}: center {c} is not a member"
+            for i, (c, members) in enumerate(zip(partition.centers, partition.sets))
+            if c not in members
+        ]
     return violations, reach
 
 

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphlmr as glm
@@ -331,7 +331,7 @@ _token = st.one_of(
     st.sampled_from(["+3", "007", "1_0", "٣", "a", "1.5", "0x1", "-0",
                      "#", "#5", str(10**20)]),
 )
-_space = st.sampled_from([" ", "  ", "\t", " \t"])
+_space = st.sampled_from([" ", "  ", "\t", " \t", "\u3000"])  # \u3000 is whitespace too
 
 
 @st.composite
@@ -378,6 +378,8 @@ def test_parse_edge_list_matches_loop(text, index_base, dedup, header):
     ("0 1\n# c\n\n2 1\n1 0\n", {}),  # a duplicate is reported without a line
     ("0 1\n1 x\n0 -1\n", {}),  # the first bad line wins
     ("1 2\n0 1\n1 2 3\n", {"index_base": 1}),  # below base, then too many fields
+    ("0 1\n1 2 3 4\n", {}),  # four fields are not two edges
+    ("0 1\n2\n1 2 3\n", {}),  # nor are one and three
     ("0 1\n2 99999999999999999999\n3 x\n", {}),  # int64 overflow, then a bad line
     ("3 1\n0 1 2\n", {"header": True}),
     ("-3 1\n0 1\n", {"header": True}),
@@ -424,17 +426,24 @@ def _graph_and_partition(draw):
         bounds = [0, *[c for c in cuts if c < n], n]
         sets = [tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
     else:
-        member = st.integers(min_value=-2, max_value=n + 1)
+        # 10**20 and -10**20 fit no int64: still out of range, as given
+        member = st.one_of(st.integers(min_value=-2, max_value=n + 1),
+                           st.sampled_from([10**20, -10**20]))
         sets = draw(st.lists(st.lists(member, min_size=1, max_size=5).map(tuple),
                              max_size=5))
     centers = None
     if sets and draw(st.booleans()):
         centers = tuple(draw(st.sampled_from(s)) if draw(st.integers(0, 4)) else
-                        draw(st.integers(min_value=-1, max_value=n)) for s in sets)
+                        draw(st.one_of(st.integers(min_value=-1, max_value=n),
+                                       st.just(10**20))) for s in sets)
     return graph, Partition(sets=tuple(sets), centers=centers)
 
 
 @given(_graph_and_partition())
+@example((glm.path_graph(3), Partition(sets=((0, 0, 1), (2,)))))
+@example((glm.path_graph(4), Partition(sets=((0, 1), (1, 10**20, -3, 2, 3, 3)))))
+@example((glm.path_graph(4), Partition(sets=((0, 1, 10**21), (10**20, 2, 3, -10**20)),
+                                       centers=(10**20, 2))))
 @settings(max_examples=400, deadline=None)
 def test_validate_and_metrics_match_per_set_bfs(case):
     graph, partition = case

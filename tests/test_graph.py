@@ -149,6 +149,9 @@ def test_induced_subgraph_disconnected_flag():
         glm.induced_subgraph(g, [])
     with pytest.raises(ValueError):
         glm.induced_subgraph(g, [7])
+    for far in (10**20, -10**20):  # beyond int64, still a plain range error
+        with pytest.raises(ValueError, match="out of range"):
+            glm.induced_subgraph(g, [0, far])
 
 
 def test_induced_subgraph_full_set_is_identity():
