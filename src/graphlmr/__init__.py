@@ -1,145 +1,25 @@
 """Sampling bandlimited graph signals by local weighted averages, and
-reconstructing them with a contractive projection iteration."""
+reconstructing them with a contractive projection iteration.
 
-from .graph import (
-    EdgeListError,
-    Graph,
-    bfs_distance,
-    build_laplacian,
-    induced_subgraph,
-    is_connected,
-    load_edge_list,
-    parse_edge_list,
-)
-from .generators import grid_graph, path_graph, random_geometric_graph
-from .spectral import (
-    SpectralBasis,
-    eigendecompose,
-    gft,
-    igft,
-    project_bandlimited,
-    random_bandlimited,
-)
-from .localsets import (
-    Partition,
-    PartitionMetrics,
-    greedy_partition,
-    partition_metrics,
-    read_partition,
-    suggest_nmax,
-    validate_partition,
-    write_partition,
-)
-from .sampling import (
-    WEIGHT_SCHEMES,
-    EquivalentNoise,
-    LocalWeights,
-    NoiseModel,
-    equivalent_noise_sigma,
-    make_weights,
-    measure,
-    read_weights,
-    write_weights,
-)
-from .reconstruction import (
-    BandOperator,
-    ReconstructionConfig,
-    ReconstructionRun,
-    apply_G,
-    contraction_ratio,
-    ilmr,
-    ilsr,
-    ipr,
-    uniqueness_check,
-)
-from .noise import (
-    ErrorBoundReport,
-    expected_bound,
-    expected_report,
-    noise_tilde,
-    realized_bound,
-    realized_report,
-    sample_noise,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentReport,
-    GraphConfig,
-    NoiseConfig,
-    bootstrap_gap_quantile,
-    load_config,
-    parse_config,
-    relative_error,
-    run_experiment,
-    write_report_csv,
-    write_report_meta,
+The package re-exports every module's ``__all__``."""
+
+from .graph import *
+from .generators import *
+from .spectral import *
+from .localsets import *
+from .sampling import *
+from .reconstruction import *
+from .noise import *
+from .experiments import *
+from . import (
+    experiments, generators, graph, localsets, noise, reconstruction, sampling, spectral,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdgeListError",
-    "Graph",
-    "bfs_distance",
-    "build_laplacian",
-    "induced_subgraph",
-    "is_connected",
-    "load_edge_list",
-    "parse_edge_list",
-    "grid_graph",
-    "path_graph",
-    "random_geometric_graph",
-    "SpectralBasis",
-    "eigendecompose",
-    "gft",
-    "igft",
-    "project_bandlimited",
-    "random_bandlimited",
-    "Partition",
-    "PartitionMetrics",
-    "greedy_partition",
-    "partition_metrics",
-    "read_partition",
-    "suggest_nmax",
-    "validate_partition",
-    "write_partition",
-    "WEIGHT_SCHEMES",
-    "EquivalentNoise",
-    "LocalWeights",
-    "NoiseModel",
-    "equivalent_noise_sigma",
-    "make_weights",
-    "measure",
-    "read_weights",
-    "write_weights",
-    "BandOperator",
-    "ReconstructionConfig",
-    "ReconstructionRun",
-    "apply_G",
-    "contraction_ratio",
-    "ilmr",
-    "ilsr",
-    "ipr",
-    "uniqueness_check",
-    "ErrorBoundReport",
-    "expected_bound",
-    "expected_report",
-    "noise_tilde",
-    "realized_bound",
-    "realized_report",
-    "sample_noise",
-    "ConfigError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GraphConfig",
-    "NoiseConfig",
-    "bootstrap_gap_quantile",
-    "load_config",
-    "parse_config",
-    "relative_error",
-    "run_experiment",
-    "write_report_csv",
-    "write_report_meta",
-    "__version__",
-]
+    name
+    for module in (graph, generators, spectral, localsets, sampling, reconstruction,
+                   noise, experiments)
+    for name in module.__all__
+] + ["__version__"]

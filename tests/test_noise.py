@@ -187,3 +187,17 @@ def test_realized_bound_dominates_error(grid20, grid20_pairs):
             n_iterations=40,
         )
         assert np.all(run.error_trace <= rep.bound_at_k + 1e-12)
+
+
+def test_expected_bound_rejects_weights_of_another_partition():
+    p1 = Partition(sets=((0, 1, 2), (3,)))
+    p2 = Partition(sets=((0,), (1, 2, 3)))
+    w2 = glm.make_weights("uniform", p2)
+    noise = NoiseModel(sigma=np.array([0.1, 0.2, 0.3, 0.4]))
+    with pytest.raises(ValueError, match="weights belong to a different partition"):
+        glm.expected_bound(0.5, p1, w2, noise)
+    with pytest.raises(ValueError, match="weights belong to a different partition"):
+        glm.expected_report(0.5, p1, w2, noise, 3)
+    assert glm.expected_bound(0.5, p2, w2, noise) == pytest.approx(
+        0.6557216947749475, rel=1e-12
+    )
