@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -90,6 +89,15 @@ class Partition:
         """Sum rows aligned with :meth:`member_arrays` over each set (axis 0)."""
         return np.add.reduceat(values, self._flat[2], axis=0)
 
+    def check_range(self, n: int, what: str) -> None:
+        """Raise ``ValueError`` unless every member is a vertex of the
+        ``n``-vertex ``what`` (a signal, noise model or basis)."""
+        verts = self._flat[0]
+        if verts.size and verts.min() < 0:
+            raise ValueError(f"partition holds negative vertex {verts.min()}")
+        if verts.size and verts.max() >= n:
+            raise ValueError(f"{what} shorter than the partition's vertex range")
+
     def with_centers(self, centers: Sequence[int]) -> "Partition":
         return Partition(sets=self.sets, centers=tuple(int(c) for c in centers))
 
@@ -153,18 +161,55 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
 class _Reach:
     """Hop distances inside each checked set, from every member to every member.
 
-    ``members`` lists the distinct vertices of the checked sets, sorted by
-    set and then vertex; set ``i`` owns ``members[start[i]:start[i] + size[i]]``
-    (``size[i] == 0`` for a set that was not checked).  Its distances form
-    the ``size[i] x size[i]`` row-major block of ``dist`` at
-    ``block[i]``, -1 where the set's induced subgraph has no path.
+    ``union`` holds the induced subgraphs of the checked sets; its vertices
+    are their distinct members, sorted by set and then vertex, and set ``i``
+    owns vertices ``start[i]:start[i] + size[i]`` (``size[i] == 0`` for a set
+    that was not checked).  Its distances form the ``size[i] x size[i]``
+    row-major block of ``dist`` at ``block[i]``, -1 where the set's induced
+    subgraph has no path.
     """
 
-    members: np.ndarray
+    union: Graph
     start: np.ndarray
     size: np.ndarray
     block: np.ndarray
     dist: np.ndarray
+
+
+def _search(graph: Graph, origin: np.ndarray, row: np.ndarray, slots: int,
+            branches: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Breadth-first search from every vertex of ``origin`` at once.
+
+    Source ``r`` starts at ``origin[r]`` and records its hop distance to
+    vertex ``q`` in ``dist[row[r] + q]`` (``slots`` entries, -1 where it has
+    no path).  A frontier of (source, vertex) pairs advances one level per
+    step for all sources.  With ``branches`` the frontier keeps each
+    source's queue order, so every vertex is first reached along the path a
+    one-source search scanning neighbors in ascending order would take,
+    and the second result counts per vertex how many vertices are first
+    reached through it as a child of their source (0 for the rest).
+    """
+    dist = np.full(slots, -1, dtype=np.int32)
+    source, target = np.arange(len(origin)), origin
+    dist[row + target] = 0
+    counts = np.zeros(graph.n_vertices, dtype=np.intp) if branches else None
+    level = 0
+    while source.size:
+        level += 1
+        step, target = graph.neighbors_of(target)
+        source = source[step]
+        pair = row[source] + target
+        fresh = np.flatnonzero(dist[pair] < 0)
+        pair, first = np.unique(pair[fresh], return_index=True)
+        dist[pair] = level
+        # the first discoveries; distances need no order, branches need
+        # discovery order
+        keep = fresh[np.sort(first) if branches else first]
+        source, target = source[keep], target[keep]
+        if branches:
+            child = target if level == 1 else child[step][keep]
+            counts += np.bincount(child, minlength=graph.n_vertices)
+    return dist, counts
 
 
 def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
@@ -172,9 +217,8 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
     """Breadth-first search from every member of every set at once.
 
     ``members`` are distinct in-range vertices sorted by ``set_ids`` and then
-    by vertex.  A frontier of (source, member) pairs walks the sets' induced
-    subgraphs one level per step, for all sources at once.  Work is
-    O(sum |N_i| (|N_i| + e_i)) and memory O(sum |N_i|^2).
+    by vertex.  The search walks the sets' induced subgraphs, all in one
+    graph.  Work is O(sum |N_i| (|N_i| + e_i)) and memory O(sum |N_i|^2).
     """
     union = graph.induced_union(set_ids, members)
     m = len(members)
@@ -184,20 +228,8 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
     # dist[row[r] + q]: hop distance from source r to target q (positions)
     local = np.arange(m) - start[set_ids]
     row = block[set_ids] + local * size[set_ids] - start[set_ids]
-    dist = np.full(int((size * size).sum()), -1, dtype=np.int32)
-    source = target = np.arange(m)
-    dist[row + target] = 0
-    level = 0
-    while source.size:
-        level += 1
-        step, target = union.neighbors_of(target)
-        source = source[step]
-        pair = row[source] + target
-        fresh = np.flatnonzero(dist[pair] < 0)
-        pair, first = np.unique(pair[fresh], return_index=True)
-        dist[pair] = level
-        source, target = source[fresh[first]], target[fresh[first]]
-    return _Reach(members=members, start=start, size=size, block=block, dist=dist)
+    dist, _ = _search(union, np.arange(m), row, int((size * size).sum()))
+    return _Reach(union=union, start=start, size=size, block=block, dist=dist)
 
 
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
@@ -310,14 +342,14 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
         return PartitionMetrics(
             sizes=tuple(sizes), diameters=tuple(diameters), c_max=c_max
         )
-    radii: list[int] = []
-    subtree: list[int] = []
-    for i, c in enumerate(partition.centers):
-        k, first = int(reach.size[i]), int(reach.start[i])
-        members = reach.members[first:first + k]
-        row = reach.block[i] + k * int(np.searchsorted(members, c))
-        radii.append(int(reach.dist[row:row + k].max()))
-        subtree.append(_max_branch(graph, set(members.tolist()), c))
+    # a center's position in the union is its rank within its sorted set
+    verts, ids = partition.member_arrays()
+    below = verts < np.array(partition.centers, dtype=np.intp)[ids]
+    origin = reach.start + partition.sum_by_set(below.astype(np.intp))
+    dist, counts = _search(reach.union, origin, np.zeros_like(origin),
+                           reach.union.n_vertices, branches=True)
+    radii = np.maximum.reduceat(dist, reach.start).tolist() if sizes else []
+    subtree = np.maximum.reduceat(counts, reach.start).tolist() if sizes else []
     q_max = max(
         math.sqrt(k * r) for k, r in zip(subtree, radii)
     ) if sizes else 0.0
@@ -329,33 +361,6 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
         max_subtree=tuple(subtree),
         q_max=q_max,
     )
-
-
-def _max_branch(graph: Graph, members: set[int], root: int) -> int:
-    """Largest subtree size among the root's children in a BFS tree.
-
-    The tree spans the subgraph induced by ``members`` and follows first
-    discovery with neighbors scanned in ascending order, which makes the
-    value deterministic.  A root with no children (singleton set) scores 0.
-    """
-    ptr, nbrs = graph.indptr, graph.indices
-    parent = {root: None}
-    queue = deque([root])
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
-            if w in members and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    count = {v: 1 for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p is not None:
-            count[p] += count[v]
-    children = [v for v in order if parent[v] == root]
-    return max((count[c] for c in children), default=0)
 
 
 def suggest_nmax(omega: float) -> int:

@@ -133,7 +133,7 @@ def expected_report(
             raise ValueError("iid shortcut requires uniform weights")
     eq = equivalent_noise_sigma(weights, noise)
     nt = float(np.sqrt(partition.sizes()) @ eq.expected_abs)
-    envelope = norm_f + float(np.sqrt(np.sum(noise.sigma**2)))
+    envelope = norm_f + float(np.hypot.reduce(noise.sigma))
     variant = "iid" if iid_shortcut else "per-vertex-gaussian"
     return _report(gamma, nt, envelope, n_iterations, variant)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .graph import Graph
 from .localsets import Partition, partition_metrics
 from .sampling import LocalWeights, make_weights, measure
-from .spectral import SpectralBasis, random_bandlimited
+from .spectral import SpectralBasis
 
 __all__ = [
     "BandOperator",
@@ -115,12 +115,10 @@ class BandOperator:
     """
 
     def __init__(self, basis: SpectralBasis, omega: float, partition: Partition):
-        verts, _ = partition.member_arrays()
-        if verts.size and verts.max() >= basis.n:
-            raise ValueError("partition vertex range exceeds the basis size")
+        partition.check_range(basis.n, "basis")
         self.partition = partition
         self.ub = basis.band_vectors(omega)
-        self._rows = self.ub[verts]
+        self._rows = self.ub[partition.member_arrays()[0]]
         self.bt = partition.sum_by_set(self._rows).T
 
     def measurement_matrix(self, weights: LocalWeights) -> np.ndarray:
@@ -272,27 +270,18 @@ def contraction_ratio(
     omega: float,
     partition: Partition,
     weights: LocalWeights,
-    trials: int = 50,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Empirically probe ||f - G f|| / ||f|| over random bandlimited f.
+    """The a-priori contraction bound and the exact contraction factor of G.
 
-    Returns ``(bound, worst_observed)`` where bound = C_max sqrt(omega); the
-    observed ratio never exceeds the bound (up to float noise), which is the
-    contraction estimate the convergence guarantee rests on.
+    Returns ``(bound, ratio)`` where bound = C_max sqrt(omega) and ratio is
+    the supremum of ||f - G f|| / ||f|| over nonzero bandlimited f, computed
+    exactly as the spectral norm ||I_k - B^T A||_2 of the iteration on band
+    coefficients.  The convergence guarantee rests on ratio <= bound.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     metrics = partition_metrics(graph, partition)
-    bound = metrics.c_max * math.sqrt(omega)
-    worst = 0.0
-    for _ in range(trials):
-        f = random_bandlimited(basis, omega, rng, norm=1.0)
-        ratio = float(np.linalg.norm(f - apply_G(basis, omega, partition, weights, f)))
-        worst = max(worst, ratio)
-    return bound, worst
+    op = BandOperator(basis, omega, partition)
+    iteration = np.eye(op.bt.shape[0]) - op.bt @ op.measurement_matrix(weights)
+    return metrics.c_max * math.sqrt(omega), float(np.linalg.norm(iteration, 2))
 
 
 def uniqueness_check(

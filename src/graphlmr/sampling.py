@@ -186,9 +186,8 @@ def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     exactly (each sum has a single term).
     """
     f = np.asarray(signal, dtype=np.float64)
+    weights.partition.check_range(f.shape[0], "signal")
     verts, _ = weights.partition.member_arrays()
-    if verts.size and verts.max() >= f.shape[0]:
-        raise ValueError("signal shorter than the partition's vertex range")
     w = weights.flat_values().reshape((-1,) + (1,) * (f.ndim - 1))
     return weights.partition.sum_by_set(f[verts] * w)
 
@@ -209,13 +208,13 @@ def equivalent_noise_sigma(
     variance sum_v sigma^2(v) phi_i^2(v); its absolute value is half-normal,
     so E|n_i| = sigma_i * sqrt(2/pi).
     """
-    verts, _ = weights.partition.member_arrays()
-    if verts.size and verts.max() >= noise.n:
-        raise ValueError("noise model shorter than the partition's vertex range")
-    var = weights.partition.sum_by_set(
-        (noise.sigma[verts] ** 2) * weights.flat_values() ** 2
+    partition = weights.partition
+    partition.check_range(noise.n, "noise model")
+    # hypot never squares, so sigma beyond 1e+-154 neither under- nor overflows
+    sig = np.hypot.reduceat(
+        noise.sigma[partition.member_arrays()[0]] * weights.flat_values(),
+        partition.set_starts(),
     )
-    sig = np.sqrt(var)
     return EquivalentNoise(sigma=sig, expected_abs=sig * math.sqrt(2.0 / math.pi))
 
 

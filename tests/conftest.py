@@ -50,6 +50,29 @@ def rgg300_sets3(rgg300):
     return partition, metrics, omega, gamma
 
 
+@pytest.fixture(scope="session")
+def contraction_setups(grid20, rgg300, rgg300_sets3):
+    """(label, graph, basis, partition, omega, random weights) with gamma < 1."""
+    grid_graph, grid_basis = grid20
+    rgg_graph, rgg_basis = rgg300
+    rgg_partition, _, rgg_omega, _ = rgg300_sets3
+    p4 = glm.path_graph(4)
+    setups = [
+        ("P4 pairs", p4, glm.eigendecompose(glm.build_laplacian(p4)),
+         glm.Partition(sets=((0, 1), (2, 3))), 1.0),
+        ("grid20 n_max=4", grid_graph, grid_basis,
+         glm.greedy_partition(grid_graph, 4), 0.03),
+        ("grid20 n_max=8", grid_graph, grid_basis,
+         glm.greedy_partition(grid_graph, 8), 0.03),
+        ("rgg300 n_max=3", rgg_graph, rgg_basis, rgg_partition, rgg_omega),
+    ]
+    return [
+        (label, graph, basis, partition, omega,
+         glm.make_weights("random", partition, rng=np.random.default_rng(3)))
+        for label, graph, basis, partition, omega in setups
+    ]
+
+
 @pytest.fixture()
 def p4():
     graph = glm.path_graph(4)

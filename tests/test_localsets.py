@@ -148,6 +148,17 @@ def test_metrics_singleton_set():
     assert m.c_max == 0.0 and m.q_max == 0.0
 
 
+def test_metrics_branch_follows_first_discovery():
+    # 7 is two hops below both children of 0; the breadth-first queue
+    # reaches 9 (under 1) before 3 (under 5), so 7 hangs off branch 1
+    g = Graph.from_edges(
+        10, [(0, 1), (0, 5), (1, 9), (5, 3), (5, 4), (9, 7), (3, 7)]
+    )
+    p = Partition(sets=((0, 1, 3, 4, 5, 7, 9), (2,), (6,), (8,)), centers=(0, 2, 6, 8))
+    m = glm.partition_metrics(g, p)
+    assert m.radii == (3, 0, 0, 0) and m.max_subtree == (3, 0, 0, 0)
+
+
 def test_metrics_rejects_invalid_partition():
     g = glm.path_graph(4)
     with pytest.raises(ValueError, match="invalid partition"):

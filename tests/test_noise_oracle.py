@@ -15,6 +15,7 @@ the same exception with the same message.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -74,9 +75,9 @@ def _oracle_expected_bound(
 # ---------------------------------------------------------------------------
 # Strategies and comparison
 
-# The general formula squares sigma(v) * w(v): below about 1e-154 that
-# underflows, and the iid shortcut, which now uses it, reads 0 where the old
-# closed form did not.  [1e-100, 1e100] keeps the squares normal floats.
+# The oracle's envelope squares sigma(v), which underflows below about
+# 1e-154 and overflows above about 1e154 where the package's does not.
+# [1e-100, 1e100] keeps the squares normal floats.
 _sigmas = st.floats(min_value=1e-100, max_value=1e100)
 _gammas = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _ks = st.integers(min_value=0, max_value=200)
@@ -236,3 +237,19 @@ def test_iid_shortcut_requires_noise_on_every_member():
         assert _outcome(glm.expected_bound, 0.5, p, w, short, iid_shortcut=iid) == (
             ValueError, "noise model shorter than the partition's vertex range"
         )
+
+
+def test_expected_bound_never_squares_sigma():
+    # sigma^2 underflows to 0 at 1e-200 and overflows to inf at 1e160
+    p = Partition(sets=((0, 1), (2, 3)))
+    w = glm.make_weights("uniform", p)
+    for sigma in (1e-200, 1e160):
+        noise = NoiseModel.iid(4, sigma)
+        closed = _oracle_expected_bound(0.5, p, w, noise, iid_shortcut=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for iid in (False, True):
+                value = glm.expected_bound(0.5, p, w, noise, iid_shortcut=iid)
+                assert math.isclose(value, closed, rel_tol=1e-12), (sigma, iid)
+                assert math.isfinite(
+                    glm.expected_bound(0.5, p, w, noise, 0, iid_shortcut=iid))

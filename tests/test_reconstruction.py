@@ -209,13 +209,52 @@ def test_contraction_ratio_bound_holds(grid20, grid20_pairs):
     graph, basis = grid20
     partition, metrics = grid20_pairs
     w = glm.make_weights("uniform", partition)
-    bound, worst = glm.contraction_ratio(
-        graph, basis, 0.03, partition, w, trials=40, rng=np.random.default_rng(3)
-    )
+    bound, ratio = glm.contraction_ratio(graph, basis, 0.03, partition, w)
     assert bound == pytest.approx(metrics.c_max * math.sqrt(0.03))
-    assert worst <= bound + 1e-9
-    with pytest.raises(ValueError):
-        glm.contraction_ratio(graph, basis, 0.03, partition, w, trials=0)
+    assert ratio <= bound + 1e-9
+
+
+def _sampled_ratio(basis, omega, partition, weights, trials, rng):
+    """The former Monte-Carlo estimate: the worst ||f - G f|| over unit
+    bandlimited draws."""
+    worst = 0.0
+    for _ in range(trials):
+        f = glm.random_bandlimited(basis, omega, rng, norm=1.0)
+        ratio = float(np.linalg.norm(f - glm.apply_G(basis, omega, partition, weights, f)))
+        worst = max(worst, ratio)
+    return worst
+
+
+def test_contraction_ratio_is_the_supremum(contraction_setups):
+    for label, graph, basis, partition, omega, weights in contraction_setups:
+        _, ratio = glm.contraction_ratio(graph, basis, omega, partition, weights)
+        sampled = _sampled_ratio(basis, omega, partition, weights, 200,
+                                 np.random.default_rng(17))
+        assert sampled <= ratio + 1e-12, label
+        # the top right singular vector of I - B^T A attains the supremum
+        op = glm.BandOperator(basis, omega, partition)
+        k = op.ub.shape[1]
+        _, _, vt = np.linalg.svd(np.eye(k) - op.bt @ op.measurement_matrix(weights))
+        f = op.ub @ vt[0]
+        attained = np.linalg.norm(f - glm.apply_G(basis, omega, partition, weights, f))
+        assert attained == pytest.approx(ratio, rel=0, abs=1e-12), label
+
+
+def test_negative_members_are_rejected():
+    # member -1 would otherwise read the last vertex of the signal
+    graph = glm.path_graph(3)
+    basis = _basis(graph)
+    p = Partition(sets=((-1, 0), (1,)))
+    w = glm.make_weights("uniform", p)
+    calls = [
+        lambda: glm.measure(np.array([0.0, 10.0, 20.0]), w),
+        lambda: glm.equivalent_noise_sigma(w, glm.NoiseModel.iid(3, 0.1)),
+        lambda: glm.BandOperator(basis, 1.0, p),
+        lambda: glm.ilmr(np.zeros(2), p, w, basis, ReconstructionConfig(omega=1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="negative vertex -1"):
+            call()
 
 
 def test_uniqueness_check():
