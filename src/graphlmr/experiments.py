@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +43,10 @@ __all__ = [
     "write_report_meta",
     "bootstrap_gap_quantile",
 ]
+
+# Stages of run_experiment, in order, as keys of ExperimentReport.timings.
+_STAGES = ("graph", "laplacian", "eigendecompose", "partition", "metrics",
+           "draws", "weights", "sweeps")
 
 # SeedSequence stream tags; distinct per purpose so draws never alias.
 _STREAM_GRAPH = 101
@@ -106,7 +111,10 @@ class ExperimentReport:
     ``mean_rel_error[scheme][k]`` averages the relative error after k
     iterations over all trials (k = 0 is the initial estimate); all curves
     share length ``max_iterations + 1``.  ``steady_errors[scheme]`` keeps the
-    per-trial final errors for significance testing.
+    per-trial final errors for significance testing.  ``timings`` holds the
+    wall seconds spent in each stage of the run: graph, laplacian,
+    eigendecompose, partition, metrics, draws, weights and sweeps (the last
+    two summed over schemes).
     """
 
     config: ExperimentConfig
@@ -122,6 +130,7 @@ class ExperimentReport:
     steady_state_mean: dict[str, float]
     steady_state_std: dict[str, float]
     steady_errors: dict[str, np.ndarray]
+    timings: dict[str, float]
 
 
 def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -416,13 +425,30 @@ def _resolve_omega(cfg: ExperimentConfig, basis: SpectralBasis) -> float:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run all trials of a config; deterministic in cfg.seed."""
+    timings = dict.fromkeys(_STAGES, 0.0)
+    mark = time.perf_counter()
+
+    def finish(stage: str) -> None:
+        # adds the time since the previous mark to ``stage``
+        nonlocal mark
+        now = time.perf_counter()
+        timings[stage] += now - mark
+        mark = now
+
     graph = _build_graph(cfg)
-    basis = eigendecompose(build_laplacian(graph))
+    finish("graph")
+    laplacian = build_laplacian(graph)
+    finish("laplacian")
+    basis = eigendecompose(laplacian)
+    del laplacian  # n^2 floats, not needed by the trials
+    finish("eigendecompose")
     omega = _resolve_omega(cfg, basis)
     n_max = cfg.n_max if cfg.n_max is not None else suggest_nmax(omega)
     partition = greedy_partition(graph, n_max)
+    finish("partition")
     metrics = partition_metrics(graph, partition)
     gamma = metrics.c_max * math.sqrt(omega)
+    finish("metrics")
     model = _build_noise_model(cfg, graph.n_vertices)
 
     # one column per trial; every draw keeps its own seeded stream
@@ -438,6 +464,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             model, _rng(cfg.seed, _STREAM_NOISE, t)
         )
     truth_norm = np.linalg.norm(truth, axis=0)
+    finish("draws")
 
     op = BandOperator(basis, omega, partition)
     curves = {}
@@ -452,8 +479,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             weights = make_weights(scheme, partition, noise=model)
             a, m = op.measurement_matrix(weights), measure(observed, weights)
+        finish("weights")
         errors = op.iterate(a, m, cfg.max_iterations, truth=truth).errors
         curves[scheme] = errors.T / truth_norm[:, None]
+        finish("sweeps")
 
     return ExperimentReport(
         config=cfg,
@@ -469,6 +498,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         steady_state_mean={s: float(curves[s][:, -1].mean()) for s in cfg.schemes},
         steady_state_std={s: float(curves[s][:, -1].std()) for s in cfg.schemes},
         steady_errors={s: curves[s][:, -1].copy() for s in cfg.schemes},
+        timings=timings,
     )
 
 
@@ -498,7 +528,8 @@ def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
 def write_report_meta(
     report: ExperimentReport, path: str | Path, timestamp: bool = True
 ) -> None:
-    """Sidecar JSON echoing the config and the resolved run parameters."""
+    """Sidecar JSON echoing the config, the resolved run parameters and the
+    stage timings in seconds."""
     payload = {
         "name": report.config.name,
         "config": asdict(report.config),
@@ -518,6 +549,7 @@ def write_report_meta(
             for s in report.schemes
         },
         "seed": report.config.seed,
+        "timings": report.timings,
     }
     if timestamp:
         payload["written_at"] = datetime.now(timezone.utc).isoformat()

@@ -68,9 +68,18 @@ class Partition:
     @cached_property
     def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.array([len(s) for s in self.sets], dtype=np.intp)
-        verts = np.fromiter(
-            (v for s in self.sets for v in s), dtype=np.intp, count=int(sizes.sum())
-        )
+        try:
+            verts = np.fromiter(
+                (v for s in self.sets for v in s), dtype=np.intp,
+                count=int(sizes.sum()),
+            )
+        except OverflowError:
+            info = np.iinfo(np.intp)
+            big = next(v for s in self.sets for v in s
+                       if not info.min <= v <= info.max)
+            raise ValueError(
+                f"partition holds vertex {big}, beyond any vertex index"
+            ) from None
         ids = np.repeat(np.arange(len(self.sets), dtype=np.intp), sizes)
         starts = np.cumsum(sizes) - sizes
         for arr in (verts, ids, starts, sizes):
@@ -238,7 +247,7 @@ def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Re
     try:
         verts, ids = partition.member_arrays()
         sizes = partition.sizes()
-    except OverflowError:
+    except ValueError:
         # a member beyond int64 is out of range for any graph; -1 keeps it so
         sizes = np.array([len(s) for s in partition.sets], dtype=np.intp)
         verts = np.fromiter(

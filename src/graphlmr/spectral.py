@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,27 +20,45 @@ __all__ = [
 # to eigensolver round-off land inside the band.
 _CUTOFF_RTOL = 1e-9
 
+# Entries per temporary of the symmetry check (128 KB of float64): a small
+# bound keeps the check from adding n x n arrays to the solver's peak memory.
+_SYMMETRY_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Eigendecomposition of a graph Laplacian.
 
     ``eigenvalues`` is ascending; column ``k`` of ``eigenvectors`` is the unit
-    eigenvector for ``eigenvalues[k]``.  Arrays are read-only.
+    eigenvector for ``eigenvalues[k]``.  Arrays are read-only; the
+    constructor copies what it is given, so later changes to the caller's
+    arrays never reach the basis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, vals: np.ndarray, vecs: np.ndarray) -> "SpectralBasis":
+        """Basis over arrays no caller holds, frozen in place without a copy."""
+        basis = cls.__new__(cls)
+        object.__setattr__(basis, "eigenvalues", vals)
+        object.__setattr__(basis, "eigenvectors", vecs)
+        basis._freeze(copy=False)
+        return basis
+
+    def _freeze(self, copy: bool) -> None:
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
         vecs = np.asarray(self.eigenvectors, dtype=np.float64)
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues must be (n,), eigenvectors (n, n)")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
-        vals = vals.copy()
-        vecs = vecs.copy()
+        if copy:
+            vals, vecs = vals.copy(), vecs.copy()
         vals.flags.writeable = False
         vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -72,17 +91,36 @@ class SpectralBasis:
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     """Full symmetric eigendecomposition of a (dense) Laplacian.
 
-    Raises ``ValueError`` for non-square or non-symmetric input; LAPACK
-    convergence failures propagate as ``numpy.linalg.LinAlgError``.
+    Raises ``ValueError`` for non-square, non-finite or non-symmetric input;
+    LAPACK convergence failures propagate as ``numpy.linalg.LinAlgError``.
     """
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"laplacian must be square, got shape {lap.shape}")
-    scale = float(np.abs(lap).max()) if lap.size else 0.0
-    if not np.allclose(lap, lap.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("laplacian must be symmetric")
+    _check_symmetric(lap)
     vals, vecs = np.linalg.eigh(lap)
-    return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
+    return SpectralBasis._adopt(vals, vecs)
+
+
+def _check_symmetric(lap: np.ndarray) -> None:
+    """Raise unless ``lap`` is finite and ``|lap - lap.T| <= 1e-10 max(|lap|, 1)``.
+
+    Walks the upper triangle in row blocks, comparing ``lap[i:j, i:]`` with
+    ``lap[i:, i:j].T``, so no temporary exceeds ``_SYMMETRY_BLOCK`` entries.
+    """
+    n = lap.shape[0]
+    scale = float(max(lap.max(), -lap.min())) if lap.size else 0.0
+    if not math.isfinite(scale):
+        raise ValueError("laplacian must be finite")
+    tol = 1e-10 * max(scale, 1.0)
+    rows = max(1, _SYMMETRY_BLOCK // max(n, 1))
+    # a difference that overflows to inf is asymmetric anyway
+    with np.errstate(over="ignore"):
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            diff = lap[i:j, i:] - lap[i:, i:j].T
+            if np.abs(diff, out=diff).max() > tol:
+                raise ValueError("laplacian must be symmetric")
 
 
 def _check_length(x: np.ndarray, n: int, what: str) -> np.ndarray:

@@ -452,6 +452,34 @@ def test_validate_and_metrics_match_per_set_bfs(case):
         _loop_metrics, graph, partition)
 
 
+@st.composite
+def _centred_partition(draw):
+    """A valid partition of a relabelled grid of up to 40 vertices, with some
+    edges dropped, and a center per set.
+
+    Grids hold many shortest paths of equal length, so large sets reach
+    vertices three or more hops from the center along several branches:
+    the ties a center search that loses discovery order gets wrong.
+    """
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=40 // rows))
+    n = rows * cols
+    label = draw(st.permutations(range(n)))
+    grid = glm.grid_graph(rows, cols).edges
+    keep = draw(st.lists(st.integers(0, 9), min_size=len(grid), max_size=len(grid)))
+    graph = Graph.from_edges(
+        n, [(label[u], label[v]) for (u, v), k in zip(grid, keep) if k])
+    part = glm.greedy_partition(graph, draw(st.integers(min_value=1, max_value=n)))
+    return graph, part.with_centers([draw(st.sampled_from(s)) for s in part.sets])
+
+
+@given(_centred_partition())
+@settings(max_examples=400, deadline=None)
+def test_centred_metrics_match_per_set_bfs_on_larger_graphs(case):
+    graph, partition = case
+    assert glm.partition_metrics(graph, partition) == _loop_metrics(graph, partition)
+
+
 def test_metrics_match_per_set_bfs_on_greedy_partitions():
     graph = glm.grid_graph(20, 20)
     rgg = glm.random_geometric_graph(150, 0.15, np.random.default_rng(3))

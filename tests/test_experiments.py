@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,26 @@ def test_meta_sidecar(tmp_path):
     assert meta["config"]["seed"] == 2
     assert "written_at" in meta
     assert set(meta["steady_state"]) == {"uniform", "random"}
+    assert meta["timings"] == report.timings
+
+
+def test_report_times_every_stage():
+    report = glm.run_experiment(glm.parse_config(GRID_CFG))
+    assert list(report.timings) == ["graph", "laplacian", "eigendecompose",
+                                    "partition", "metrics", "draws", "weights",
+                                    "sweeps"]
+    assert all(t >= 0.0 for t in report.timings.values())
+    assert report.timings["sweeps"] > 0.0
+
+
+def test_shipped_configs_parse():
+    # parsing reads no graph data, so the Minnesota config parses without it
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    assert {p.stem for p in paths} >= {
+        "grid_convergence", "minnesota_grouped", "rgg_grouped_weights", "rgg_snr30"}
+    for path in paths:
+        cfg = glm.load_config(path)
+        assert cfg.name and cfg.schemes and cfg.trials >= 1, path.name
 
 
 def test_bootstrap_gap_quantile():

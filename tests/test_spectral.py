@@ -1,9 +1,14 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphlmr as glm
+from graphlmr import spectral
 
 
 def test_eigendecompose_p3_spectrum():
@@ -24,12 +29,116 @@ def test_eigendecompose_rejects_bad_input():
         glm.eigendecompose(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         glm.eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the difference overflows to inf
+        with pytest.raises(ValueError, match="symmetric"):
+            glm.eigendecompose(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def _allclose_check(laplacian):
+    """The symmetry check as one n x n ``np.allclose``: the oracle."""
+    lap = np.asarray(laplacian, dtype=np.float64)
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ValueError(f"laplacian must be square, got shape {lap.shape}")
+    scale = float(np.abs(lap).max()) if lap.size else 0.0
+    if not np.allclose(lap, lap.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
+        raise ValueError("laplacian must be symmetric")
+
+
+def _outcome(check, lap):
+    try:
+        check(lap)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A symmetric matrix with a few entries moved off their mirror by
+    tol * (1 +- 1e-6), just inside or just outside the tolerance."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    entries = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                            min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(entries, dtype=np.float64).reshape(n, n))
+    lap = upper + np.triu(upper, 1).T
+    tol = 1e-10 * max(float(np.abs(lap).max()) if n else 0.0, 1.0)
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if n > 1 else 0):
+        r, c = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        factor = draw(st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6]))
+        lap[r, c] = lap[c, r] + draw(st.sampled_from([-1.0, 1.0])) * factor * tol
+    return lap
+
+
+@given(lap=_near_symmetric(), block=st.integers(min_value=1, max_value=24))
+@example(lap=np.array([[0.0, 1e-10 * (1 + 1e-6)], [0.0, 0.0]]), block=1)
+@example(lap=np.array([[0.0, 1e-10 * (1 - 1e-6)], [0.0, 0.0]]), block=1)
+@example(lap=np.array([[-5.0, 5e-10 * (1 - 1e-6)], [0.0, 0.0]]), block=1)
+@example(lap=np.zeros((0, 0)), block=1)
+@example(lap=np.array([[3.0]]), block=1)
+@example(lap=np.zeros((2, 3)), block=1)
+@example(lap=np.zeros((0, 3)), block=1)
+@example(lap=np.zeros(4), block=1)
+@example(lap=np.zeros((2, 2, 2)), block=1)
+@settings(max_examples=300, deadline=None)
+def test_blocked_symmetry_check_matches_allclose(lap, block):
+    # a small block bound makes even these matrices span several row blocks
+    with mock.patch.object(spectral, "_SYMMETRY_BLOCK", block):
+        assert _outcome(glm.eigendecompose, lap) == _outcome(_allclose_check, lap)
+
+
+def test_tolerance_boundary_examples_differ():
+    # the tolerance is 1e-10 while every entry stays below 1 in magnitude
+    inside = np.array([[0.0, 1e-10 * (1 - 1e-6)], [0.0, 0.0]])
+    outside = np.array([[0.0, 1e-10 * (1 + 1e-6)], [0.0, 0.0]])
+    assert _outcome(_allclose_check, inside) == "ok"
+    assert _outcome(_allclose_check, outside) == "laplacian must be symmetric"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 1)])
+def test_eigendecompose_rejects_non_finite(bad, where):
+    lap = glm.build_laplacian(glm.path_graph(3)).copy()
+    lap[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="laplacian must be finite"):
+            glm.eigendecompose(lap)
 
 
 def test_basis_arrays_read_only(p4):
     _, basis = p4
     with pytest.raises(ValueError):
         basis.eigenvalues[0] = 7.0
+    with pytest.raises(ValueError):
+        basis.eigenvectors[0, 0] = 7.0
+
+
+def test_eigendecompose_keeps_the_solver_arrays(monkeypatch):
+    solved = []
+
+    def eigh(a):
+        solved.append(real_eigh(a))
+        return solved[-1]
+
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(4)))
+    assert basis.eigenvalues is solved[0][0]
+    assert basis.eigenvectors is solved[0][1]
+
+
+def test_basis_copies_caller_arrays(p4):
+    _, fresh = p4
+    vals, vecs = fresh.eigenvalues.copy(), fresh.eigenvectors.copy()
+    basis = glm.SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
+    vals[:] = -1.0
+    vecs[:] = 0.0
+    assert np.array_equal(basis.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(basis.eigenvectors, fresh.eigenvectors)
+    assert not basis.eigenvalues.flags.writeable
+    assert not basis.eigenvectors.flags.writeable
 
 
 def test_gft_roundtrip_and_parseval(grid20):
