@@ -95,6 +95,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.gamma_warning:
         print("warning: gamma >= 1, no convergence guarantee", file=sys.stderr)
     for scheme in report.schemes:
+        if report.spectral_radius[scheme] >= 1.0:
+            print(f"warning: {scheme}: spectral radius "
+                  f"{report.spectral_radius[scheme]:.6g} >= 1, the iteration diverges",
+                  file=sys.stderr)
+    for scheme in report.schemes:
         print(f"  {scheme}: steady-state relative error "
               f"{report.steady_state_mean[scheme]:.6g} "
               f"(std {report.steady_state_std[scheme]:.6g})")

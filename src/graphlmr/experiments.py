@@ -23,10 +23,9 @@ import numpy as np
 from .generators import grid_graph, path_graph, random_geometric_graph
 from .graph import Graph, build_laplacian, load_edge_list
 from .localsets import Partition, greedy_partition, partition_metrics, suggest_nmax
-from .noise import sample_noise
 from .reconstruction import BandOperator
-from .sampling import WEIGHT_SCHEMES, NoiseModel, make_weights, measure
-from .spectral import SpectralBasis, eigendecompose, random_bandlimited
+from .sampling import WEIGHT_SCHEMES, NoiseModel, draw_weights, make_weights
+from .spectral import SpectralBasis, eigendecompose, random_bandlimited_block
 
 __all__ = [
     "ConfigError",
@@ -111,10 +110,13 @@ class ExperimentReport:
     ``mean_rel_error[scheme][k]`` averages the relative error after k
     iterations over all trials (k = 0 is the initial estimate); all curves
     share length ``max_iterations + 1``.  ``steady_errors[scheme]`` keeps the
-    per-trial final errors for significance testing.  ``timings`` holds the
-    wall seconds spent in each stage of the run: graph, laplacian,
-    eigendecompose, partition, metrics, draws, weights and sweeps (the last
-    two summed over schemes).
+    per-trial final errors for significance testing.  ``contraction`` and
+    ``spectral_radius`` hold, per scheme, the spectral norm and the spectral
+    radius of the sweep's iteration matrix I - M (the largest over trials
+    for per-trial weights); a radius >= 1 means the iteration diverges.
+    ``timings`` holds the wall seconds spent in each stage of the run:
+    graph, laplacian, eigendecompose, partition, metrics, draws, weights and
+    sweeps (the last two summed over schemes).
     """
 
     config: ExperimentConfig
@@ -130,6 +132,8 @@ class ExperimentReport:
     steady_state_mean: dict[str, float]
     steady_state_std: dict[str, float]
     steady_errors: dict[str, np.ndarray]
+    contraction: dict[str, float]
+    spectral_radius: dict[str, float]
     timings: dict[str, float]
 
 
@@ -376,7 +380,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
+    """The generator ``np.random.default_rng(np.random.SeedSequence(key))``.
+
+    Keys that fit uint32 words are passed as one uint32 array, which seeds
+    the same state with about half of SeedSequence's entropy conversion.
+    """
+    fits = 0 <= min(key) and max(key) < 1 << 32
+    entropy = np.array(key, dtype=np.uint32) if fits else list(key)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _build_graph(cfg: ExperimentConfig) -> Graph:
@@ -451,36 +462,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     finish("metrics")
     model = _build_noise_model(cfg, graph.n_vertices)
 
-    # one column per trial; every draw keeps its own seeded stream
+    # one column per trial; every draw keeps its own seeded stream and only
+    # the draws run per trial
     offband = cfg.offband_energy if cfg.offband_energy > 0 else None
-    truth = np.empty((graph.n_vertices, cfg.trials))
-    observed = np.empty_like(truth)
-    for t in range(cfg.trials):
-        truth[:, t] = random_bandlimited(
-            basis, omega, _rng(cfg.seed, _STREAM_SIGNAL, t),
-            norm=1.0, offband_energy=offband,
-        )
-        observed[:, t] = truth[:, t] + sample_noise(
-            model, _rng(cfg.seed, _STREAM_NOISE, t)
-        )
+    truth = random_bandlimited_block(
+        basis, omega, [_rng(cfg.seed, _STREAM_SIGNAL, t) for t in range(cfg.trials)],
+        offband,
+    )
+    noisy = np.empty((cfg.trials, graph.n_vertices))  # row t: trial t's noise
+    for t, row in enumerate(noisy):
+        _rng(cfg.seed, _STREAM_NOISE, t).standard_normal(out=row)
+    noisy *= model.sigma
+    noisy += truth.T
+    observed = noisy.T  # truth plus noise, one column per trial
     truth_norm = np.linalg.norm(truth, axis=0)
     finish("draws")
 
     op = BandOperator(basis, omega, partition)
-    curves = {}
+    curves, contraction, radius = {}, {}, {}
     for j, scheme in enumerate(cfg.schemes):
-        if scheme in ("random", "dirac"):  # redrawn per trial: one A per column
-            a = np.empty((cfg.trials,) + op.bt.T.shape)
-            m = np.empty((partition.n_sets, cfg.trials))
-            for t in range(cfg.trials):
-                rng = _rng(cfg.seed, _STREAM_WEIGHTS, t, j)
-                w = make_weights(scheme, partition, rng=rng)
-                a[t], m[:, t] = op.measurement_matrix(w), measure(observed[:, t], w)
+        if scheme in ("random", "dirac"):  # redrawn per trial: one M per column
+            weights = draw_weights(scheme, partition, [
+                _rng(cfg.seed, _STREAM_WEIGHTS, t, j) for t in range(cfg.trials)
+            ])
         else:
             weights = make_weights(scheme, partition, noise=model)
-            a, m = op.measurement_matrix(weights), measure(observed, weights)
+        gain = op.gain(weights)
+        contraction[scheme], radius[scheme] = op.contraction(gain)
+        r = op.readout(weights, observed)
         finish("weights")
-        errors = op.iterate(a, m, cfg.max_iterations, truth=truth).errors
+        errors = op.iterate(gain, r, cfg.max_iterations, truth=truth).errors
         curves[scheme] = errors.T / truth_norm[:, None]
         finish("sweeps")
 
@@ -498,6 +509,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         steady_state_mean={s: float(curves[s][:, -1].mean()) for s in cfg.schemes},
         steady_state_std={s: float(curves[s][:, -1].std()) for s in cfg.schemes},
         steady_errors={s: curves[s][:, -1].copy() for s in cfg.schemes},
+        contraction=contraction,
+        spectral_radius=radius,
         timings=timings,
     )
 
@@ -528,8 +541,9 @@ def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
 def write_report_meta(
     report: ExperimentReport, path: str | Path, timestamp: bool = True
 ) -> None:
-    """Sidecar JSON echoing the config, the resolved run parameters and the
-    stage timings in seconds."""
+    """Sidecar JSON echoing the config, the resolved run parameters, each
+    scheme's contraction factor and spectral radius, and the stage timings
+    in seconds."""
     payload = {
         "name": report.config.name,
         "config": asdict(report.config),
@@ -545,6 +559,13 @@ def write_report_meta(
             s: {
                 "mean": report.steady_state_mean[s],
                 "std": report.steady_state_std[s],
+            }
+            for s in report.schemes
+        },
+        "iteration": {
+            s: {
+                "contraction": report.contraction[s],
+                "spectral_radius": report.spectral_radius[s],
             }
             for s in report.schemes
         },

@@ -91,8 +91,8 @@ class ReconstructionRun:
     stop_reason: str
 
 
-def _column_sq(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x * x, axis=0)
+def _column_sq(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.add.reduce(x * x, axis=0, out=out)
 
 
 class Sweeps(NamedTuple):
@@ -111,55 +111,124 @@ class BandOperator:
     c(k+1) = c(k) + B^T (m - A c(k)) from c(0) = B^T m.  B^T = U_b^T S
     (``bt``, k x |I|, S spreads set values over members) is weight-free and
     A = Phi U_b (:meth:`measurement_matrix`, |I| x k); both are per-set sums
-    of the band rows gathered in member order, never dense Phi or S.
+    of the band rows gathered in member order, never dense Phi or S.  The
+    sweeps run as c(k+1) = c(k) + r - M c(k) on the k x k gain M = B^T A
+    (:meth:`gain`) and r = B^T m, so a sweep costs O(k^2) per column.
     """
 
     def __init__(self, basis: SpectralBasis, omega: float, partition: Partition):
         partition.check_range(basis.n, "basis")
         self.partition = partition
         self.ub = basis.band_vectors(omega)
-        self._rows = self.ub[partition.member_arrays()[0]]
+        verts, ids = partition.member_arrays()
+        self._rows = self.ub[verts]
         self.bt = partition.sum_by_set(self._rows).T
+        self._spread = self.bt.T[ids]  # row j: the column of B^T for member j's set
+
+    def _flat(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
+        if isinstance(weights, LocalWeights):
+            if weights.partition.sets != self.partition.sets:
+                raise ValueError("weights belong to a different partition")
+            return weights.flat_values()
+        if weights.ndim != 2 or weights.shape[1] != self._rows.shape[0]:
+            raise ValueError(
+                f"per-trial weights must be (T, {self._rows.shape[0]}), "
+                f"got shape {weights.shape}"
+            )
+        return weights
 
     def measurement_matrix(self, weights: LocalWeights) -> np.ndarray:
         """A = Phi U_b: the measurements of each band eigenvector, (|I|, k)."""
-        if weights.partition.sets != self.partition.sets:
-            raise ValueError("weights belong to a different partition")
-        return self.partition.sum_by_set(weights.flat_values()[:, None] * self._rows)
+        return self.partition.sum_by_set(self._flat(weights)[:, None] * self._rows)
+
+    def gain(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
+        """M = B^T A, (k, k) for ``LocalWeights``, or (T, k, k) for a (T, |V|)
+        block of per-trial weights in member order (:func:`draw_weights`).
+
+        M[a, b] sums spread[j, a] w[j] rows[j, b] over the members j.  A block
+        is built one row a at a time, so no (T, |V|, k) array is formed.
+        """
+        w = self._flat(weights)
+        if w.ndim == 1:
+            return self._spread.T @ (w[:, None] * self._rows)
+        k = self.ub.shape[1]
+        gain = np.empty((w.shape[0], k, k))
+        for a, spread in enumerate(self._spread.T):
+            gain[:, a] = w @ (spread[:, None] * self._rows)
+        return gain
+
+    def readout(
+        self, weights: LocalWeights | np.ndarray, signals: np.ndarray
+    ) -> np.ndarray:
+        """r = B^T m for the measurements m of the columns of ``signals`` (n, T),
+        (k, T); per-trial weights (T, |V|) measure column t with row t."""
+        w = self._flat(weights)
+        self.partition.check_range(signals.shape[0], "signal")
+        measured = signals[self.partition.member_arrays()[0]].T
+        measured *= w
+        return (measured @ self._spread).T
+
+    @staticmethod
+    def contraction(gain: np.ndarray) -> tuple[float, float]:
+        """The spectral norm and the spectral radius of the sweep's iteration
+        matrix I - M, each the largest over trials for a (T, k, k) ``gain``.
+
+        The norm bounds the error decay of every sweep; the radius is its
+        asymptotic rate, and the iteration diverges when it is >= 1.
+        """
+        it = np.eye(gain.shape[-1]) - gain
+        if it.size == 0:
+            return 0.0, 0.0
+        norm = np.linalg.svd(it, compute_uv=False)[..., 0]  # descending
+        radius = np.abs(np.linalg.eigvals(it)).max(axis=-1)
+        return float(np.max(norm)), float(np.max(radius))
 
     def iterate(
-        self, a: np.ndarray, m: np.ndarray, sweeps: int,
+        self, gain: np.ndarray, r: np.ndarray, sweeps: int,
         stop_tolerance: float = 0.0, truth: np.ndarray | None = None,
     ) -> Sweeps:
-        """Run up to ``sweeps`` sweeps on the measurement columns ``m`` (|I|, T).
+        """Run up to ``sweeps`` sweeps on the columns of ``r`` = B^T m (k, T).
 
-        ``a`` is A for every column, (|I|, k), or one per column, (T, |I|, k).
+        ``gain`` is M for every column, (k, k), or one per column, (T, k, k).
         With ``stop_tolerance`` > 0 the loop stops once every increment is at
         most that fraction of its column's previous norm.  ``truth`` (n, T)
         adds ||f(k) - truth|| = sqrt(||c(k) - U_b^T truth||^2 + offband).
         """
-        c = self.bt @ m
-        norm = np.sqrt(_column_sq(c))
-        increments, errors = [norm], None
         if truth is not None:
             truth_c = self.ub.T @ truth
-            offband = _column_sq(truth - self.ub @ truth_c)
-            errors = [np.sqrt(_column_sq(c - truth_c) + offband)]
-        stop_reason = "max_iterations"
-        for _ in range(sweeps):
-            ac = a @ c if a.ndim == 2 else (a @ c.T[:, :, None])[..., 0].T
-            delta = self.bt @ (m - ac)
+            # truth - U_b truth_c, squared in place and freed before the traces
+            resid = self.ub @ truth_c
+            np.subtract(truth, resid, out=resid)
+            resid *= resid
+            offband = np.add.reduce(resid, axis=0)
+            del resid
+        c = r
+        # squared norms, one row per iterate, rooted in place at the end
+        increments = np.empty((sweeps + 1, c.shape[1]))
+        errors = np.empty_like(increments) if truth is not None else None
+        norm = np.sqrt(_column_sq(c, out=increments[0]))
+        if truth is not None:
+            _column_sq(c - truth_c, out=errors[0])
+            errors[0] += offband
+        stop_reason, used = "max_iterations", sweeps
+        for i in range(1, sweeps + 1):
+            mc = gain @ c if gain.ndim == 2 else (gain @ c.T[:, :, None])[..., 0].T
+            delta = r - mc
             c = c + delta
-            increments.append(np.sqrt(_column_sq(delta)))
+            _column_sq(delta, out=increments[i])
             if errors is not None:
-                errors.append(np.sqrt(_column_sq(c - truth_c) + offband))
+                _column_sq(c - truth_c, out=errors[i])
+                errors[i] += offband
             if stop_tolerance > 0:
                 prev, norm = norm, np.sqrt(_column_sq(c))
-                if (increments[-1] <= stop_tolerance * np.maximum(prev, _TINY)).all():
-                    stop_reason = "converged"
+                step = np.sqrt(increments[i])
+                if (step <= stop_tolerance * np.maximum(prev, _TINY)).all():
+                    stop_reason, used = "converged", i
                     break
-        errors = np.array(errors) if errors is not None else None
-        return Sweeps(c, np.array(increments), errors, stop_reason)
+        increments = np.sqrt(increments[: used + 1], out=increments[: used + 1])
+        if errors is not None:
+            errors = np.sqrt(errors[: used + 1], out=errors[: used + 1])
+        return Sweeps(c, increments, errors, stop_reason)
 
 
 def apply_G(
@@ -205,7 +274,7 @@ def ilmr(
             raise ValueError("track_truth must match the basis size")
         truth = truth[:, None]
     out = op.iterate(
-        op.measurement_matrix(weights), m[:, None], config.max_iterations,
+        op.gain(weights), op.bt @ m[:, None], config.max_iterations,
         config.stop_tolerance, truth,
     )
     gamma = c_max * math.sqrt(config.omega) if c_max is not None else None
@@ -280,8 +349,7 @@ def contraction_ratio(
     """
     metrics = partition_metrics(graph, partition)
     op = BandOperator(basis, omega, partition)
-    iteration = np.eye(op.bt.shape[0]) - op.bt @ op.measurement_matrix(weights)
-    return metrics.c_max * math.sqrt(omega), float(np.linalg.norm(iteration, 2))
+    return metrics.c_max * math.sqrt(omega), op.contraction(op.gain(weights))[0]
 
 
 def uniqueness_check(

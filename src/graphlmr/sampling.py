@@ -24,6 +24,7 @@ __all__ = [
     "LocalWeights",
     "EquivalentNoise",
     "make_weights",
+    "draw_weights",
     "measure",
     "equivalent_noise_sigma",
     "format_weights",
@@ -92,18 +93,10 @@ class LocalWeights:
 
     def _store(self, partition: Partition, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        verts, ids = partition.member_arrays()
+        verts, _ = partition.member_arrays()
         if flat.shape != verts.shape:
             raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
-        bad = (flat < 0) | ~np.isfinite(flat)
-        if bad.any():
-            i = ids[bad.argmax()]
-            raise ValueError(f"set {i}: weights must be finite and >= 0")
-        totals = partition.sum_by_set(flat)
-        if (totals <= 0).any():
-            raise ValueError(f"set {(totals <= 0).argmax()}: weights sum to zero")
-        # dividing by exactly 1 keeps already normalized input bit-stable
-        flat = flat / np.where(np.abs(totals - 1.0) > 1e-12, totals, 1.0)[ids]
+        flat = _normalize(partition, flat.copy())
         flat.flags.writeable = False
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "_flat", flat)
@@ -126,6 +119,48 @@ class LocalWeights:
         return mat
 
 
+def _normalize(partition: Partition, flat: np.ndarray) -> np.ndarray:
+    """Scale each set's weights to sum 1, in place: one vector (|V|,) or one
+    per trial (T, |V|), in partition member order.
+
+    Rejects negative or non-finite entries and sets summing to zero.  Sets
+    already summing to 1 are left as they are, so they pass bitwise.
+    """
+    _, ids = partition.member_arrays()
+    bad = (flat < 0) | ~np.isfinite(flat)
+    if bad.any():
+        i = ids[np.nonzero(bad)[-1][0]]
+        raise ValueError(f"set {i}: weights must be finite and >= 0")
+    totals = partition.sum_by_set(flat.T).T
+    if (totals <= 0).any():
+        raise ValueError(f"set {np.nonzero(totals <= 0)[-1][0]}: weights sum to zero")
+    scale = np.where(np.abs(totals - 1.0) > 1e-12, totals, 1.0)
+    if (scale != 1.0).any():
+        flat /= scale[..., ids]
+    return flat
+
+
+def _draw(
+    scheme: str, partition: Partition, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Raw ``random`` or ``dirac`` weights, (T, |V|): row t takes one
+    ``random(|V|)`` or ``integers(sizes)`` call on ``rngs[t]``."""
+    _, ids = partition.member_arrays()
+    sizes, starts = partition.sizes(), partition.set_starts()
+    w = np.zeros((len(rngs), ids.size))
+    if scheme == "random":
+        for t, rng in enumerate(rngs):
+            w[t] = rng.random(ids.size)
+        # measure-zero, but keep the invariant airtight: redraw sets summing to 0
+        while (hit := partition.sum_by_set(w.T).T == 0.0).any():
+            for t in np.flatnonzero(hit.any(axis=1)):
+                w[t, hit[t][ids]] = rngs[t].random(int(sizes[hit[t]].sum()))
+    elif rngs:
+        picks = np.array([rng.integers(sizes) for rng in rngs])
+        w[np.arange(len(rngs))[:, None], starts + picks] = 1.0
+    return w
+
+
 def make_weights(
     scheme: str,
     partition: Partition,
@@ -143,14 +178,16 @@ def make_weights(
     - ``optimal_dirac``: all mass on the member with smallest sigma, ties to
       the lowest vertex index (requires ``noise``, same positivity rule).
 
-    The draws equal one ``rng.random(|N|)`` or ``rng.integers(|N|)`` per set.
+    The draws equal one ``rng.random(|V|)`` or ``rng.integers(sizes)`` call.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(
             f"unknown scheme {scheme!r}; valid: {', '.join(WEIGHT_SCHEMES)}"
         )
-    if scheme in ("random", "dirac") and rng is None:
-        raise ValueError(f"scheme {scheme!r} requires an rng")
+    if scheme in ("random", "dirac"):
+        if rng is None:
+            raise ValueError(f"scheme {scheme!r} requires an rng")
+        return LocalWeights.from_flat(partition, _draw(scheme, partition, [rng])[0])
     if scheme in ("optimal", "optimal_dirac"):
         if noise is None:
             raise ValueError(f"scheme {scheme!r} requires a noise model")
@@ -159,23 +196,28 @@ def make_weights(
                 f"scheme {scheme!r} requires sigma(v) > 0 on all vertices"
             )
     verts, ids = partition.member_arrays()
-    sizes, starts = partition.sizes(), partition.set_starts()
     if scheme == "uniform":
-        w = (1.0 / sizes)[ids]
-    elif scheme == "random":
-        w = rng.random(verts.size)
-        # measure-zero, but keep the invariant airtight: redraw sets summing to 0
-        while (hit := partition.sum_by_set(w) == 0.0).any():
-            w[hit[ids]] = rng.random(int(sizes[hit].sum()))
+        w = (1.0 / partition.sizes())[ids]
     elif scheme == "optimal":
         w = 1.0 / noise.sigma[verts] ** 2
-    else:
+    else:  # optimal_dirac; ties go to the lowest vertex index, not position
         w = np.zeros(verts.size)
-        if scheme == "dirac":
-            w[starts + rng.integers(sizes)] = 1.0
-        else:  # optimal_dirac; ties go to the lowest vertex index, not position
-            w[np.lexsort((verts, noise.sigma[verts], ids))[starts]] = 1.0
+        w[np.lexsort((verts, noise.sigma[verts], ids))[partition.set_starts()]] = 1.0
     return LocalWeights.from_flat(partition, w)
+
+
+def draw_weights(
+    scheme: str, partition: Partition, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """``random`` or ``dirac`` weights for many trials, (T, |V|) in member order.
+
+    Row t equals ``make_weights(scheme, partition, rng=rngs[t]).flat_values()``
+    bit for bit and leaves ``rngs[t]`` in the same state; only the draws run
+    per trial, the normalization is one pass over the block.
+    """
+    if scheme not in ("random", "dirac"):
+        raise ValueError(f"draw_weights takes 'random' or 'dirac', not {scheme!r}")
+    return _normalize(partition, _draw(scheme, partition, rngs))
 
 
 def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -14,6 +15,7 @@ __all__ = [
     "igft",
     "project_bandlimited",
     "random_bandlimited",
+    "random_bandlimited_block",
 ]
 
 # Relative slack on the band cutoff so eigenvalues that are equal to omega up
@@ -29,10 +31,10 @@ _SYMMETRY_BLOCK = 1 << 14
 class SpectralBasis:
     """Eigendecomposition of a graph Laplacian.
 
-    ``eigenvalues`` is ascending; column ``k`` of ``eigenvectors`` is the unit
-    eigenvector for ``eigenvalues[k]``.  Arrays are read-only; the
-    constructor copies what it is given, so later changes to the caller's
-    arrays never reach the basis.
+    ``eigenvalues`` is finite and ascending; column ``k`` of ``eigenvectors``
+    is the unit eigenvector for ``eigenvalues[k]``.  Arrays are read-only;
+    the constructor copies what it is given, so later changes to the
+    caller's arrays never reach the basis.
     """
 
     eigenvalues: np.ndarray
@@ -55,8 +57,13 @@ class SpectralBasis:
         vecs = np.asarray(self.eigenvectors, dtype=np.float64)
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues must be (n,), eigenvectors (n, n)")
+        if not np.isfinite(vals).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
+        # eigh's vectors are finite when its input is; a caller's may not be
+        if copy and not np.isfinite(vecs).all():
+            raise ValueError("eigenvectors must be finite")
         if copy:
             vals, vecs = vals.copy(), vecs.copy()
         vals.flags.writeable = False
@@ -168,27 +175,51 @@ def random_bandlimited(
     """
     if norm < 0:
         raise ValueError("norm must be nonnegative")
+    return norm * random_bandlimited_block(basis, omega, [rng], offband_energy)[:, 0]
+
+
+def random_bandlimited_block(
+    basis: SpectralBasis,
+    omega: float,
+    rngs: Sequence[np.random.Generator],
+    offband_energy: float | None = None,
+) -> np.ndarray:
+    """Unit-norm :func:`random_bandlimited` signals, one column per generator.
+
+    Column t draws from ``rngs[t]`` exactly what ``random_bandlimited`` draws
+    from it; only the draws run per column, the products and norms are one
+    pass over the (n, T) block.
+    """
     k_in = basis.band_dim(omega)
     if k_in == 0:
         raise ValueError("band is empty; no eigenvalues at or below the cutoff")
-
-    def _unit_draw(cols: np.ndarray) -> np.ndarray:
-        # A fresh draw is all but surely nonzero; retry guards degenerate rng.
-        for _ in range(16):
-            coeff = rng.standard_normal(cols.shape[1])
-            vec = cols @ coeff
-            scale = np.linalg.norm(vec)
-            if scale > 0:
-                return vec / scale
-        raise RuntimeError("random draw repeatedly produced the zero vector")
-
-    inband = _unit_draw(basis.eigenvectors[:, :k_in])
     if offband_energy is None or offband_energy == 0.0:
-        return norm * inband
+        return _unit_columns(basis.eigenvectors[:, :k_in], rngs)
     if not 0.0 <= offband_energy < 1.0:
         raise ValueError("offband_energy must lie in [0, 1)")
     if k_in == basis.n:
         raise ValueError("band spans the whole spectrum; no off-band direction")
-    offband = _unit_draw(basis.eigenvectors[:, k_in:])
-    f = np.sqrt(1.0 - offband_energy) * inband + np.sqrt(offband_energy) * offband
-    return norm * f
+    inband = _unit_columns(basis.eigenvectors[:, :k_in], rngs)
+    offband = _unit_columns(basis.eigenvectors[:, k_in:], rngs)
+    return np.sqrt(1.0 - offband_energy) * inband + np.sqrt(offband_energy) * offband
+
+
+def _unit_columns(cols: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``cols @ g / ||cols @ g||`` per generator, g its standard normal draw."""
+    coeff = np.empty((cols.shape[1], len(rngs)))
+    for t, rng in enumerate(rngs):
+        coeff[:, t] = rng.standard_normal(cols.shape[1])
+    vecs = cols @ coeff
+    scale = np.linalg.norm(vecs, axis=0)
+    # A fresh draw is all but surely nonzero; retry guards degenerate rng.
+    for _ in range(15):
+        zero = np.flatnonzero(scale == 0)
+        if zero.size == 0:
+            break
+        for t in zero:
+            vecs[:, t] = cols @ rngs[t].standard_normal(cols.shape[1])
+        scale[zero] = np.linalg.norm(vecs[:, zero], axis=0)
+    if (scale == 0).any():
+        raise RuntimeError("random draw repeatedly produced the zero vector")
+    vecs /= scale
+    return vecs

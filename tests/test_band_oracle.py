@@ -1,9 +1,11 @@
-"""The band-coordinate iteration against a dense vertex-space oracle.
+"""The band-coordinate iteration against two oracles.
 
-The oracle runs f <- f + U U^T S (m - Phi f) on length-n vectors with a
-dense Phi (``LocalWeights.to_matrix``) and a dense membership matrix S, the
-textbook form of the ILMR sweep.  The package iterates on the k band
-coefficients instead; both must give the same curves and estimates.
+The dense oracle runs f <- f + U U^T S (m - Phi f) on length-n vectors with
+a dense Phi (``LocalWeights.to_matrix``) and a dense membership matrix S,
+the textbook form of the ILMR sweep.  The measurement-space oracle runs
+c <- c + B^T (m - A c) on the band coefficients with |I|-length residuals.
+The package sweeps c <- c + r - M c with the k x k gain M = B^T A instead;
+all must give the same curves and estimates.
 """
 
 from __future__ import annotations
@@ -52,6 +54,77 @@ def oracle(basis, omega, partition, weights, m, sweeps, stop_tolerance=0.0,
     return f, iterations, reason, np.array(errors) if errors is not None else None
 
 
+def measurement_space_oracle(op, a, m, sweeps, stop_tolerance=0.0, truth=None):
+    """c <- c + B^T (m - A c) from c = B^T m on the columns of m (|I|, T);
+    ``a`` is A, (|I|, k), or one per column, (T, |I|, k)."""
+    def col_norm(x):
+        return np.sqrt(np.add.reduce(x * x, axis=0))
+
+    c = op.bt @ m
+    norm = col_norm(c)
+    increments, errors = [norm], None
+    if truth is not None:
+        truth_c = op.ub.T @ truth
+        offband = np.add.reduce((truth - op.ub @ truth_c) ** 2, axis=0)
+        errors = [np.sqrt(col_norm(c - truth_c) ** 2 + offband)]
+    reason = "max_iterations"
+    for _ in range(sweeps):
+        ac = a @ c if a.ndim == 2 else np.einsum("tik,kt->it", a, c)
+        delta = op.bt @ (m - ac)
+        c = c + delta
+        increments.append(col_norm(delta))
+        if errors is not None:
+            errors.append(np.sqrt(col_norm(c - truth_c) ** 2 + offband))
+        if stop_tolerance > 0:
+            prev, norm = norm, col_norm(c)
+            if (increments[-1] <= stop_tolerance * np.maximum(prev, 1e-300)).all():
+                reason = "converged"
+                break
+    return (c, np.array(increments),
+            None if errors is None else np.array(errors), reason)
+
+
+@pytest.mark.parametrize("per_trial", [False, True])
+@pytest.mark.parametrize("stop_tolerance", [0.0, 1e-7])
+def test_iterate_matches_measurement_space_sweep(per_trial, stop_tolerance):
+    graph = glm.grid_graph(7, 6)
+    basis = glm.eigendecompose(glm.build_laplacian(graph))
+    partition = glm.greedy_partition(graph, 3)
+    op = glm.BandOperator(basis, 0.3, partition)
+    trials = 5
+    rngs = [np.random.default_rng([31, t]) for t in range(trials)]
+    truth = glm.random_bandlimited_block(basis, 0.3, rngs, offband_energy=0.1)
+    observed = truth + 1e-3 * np.random.default_rng(32).standard_normal(truth.shape)
+    if per_trial:
+        weights = glm.draw_weights("random", partition, rngs)
+        per_column = [glm.LocalWeights.from_flat(partition, w) for w in weights]
+        a = np.stack([op.measurement_matrix(w) for w in per_column])
+        m = np.stack([glm.measure(observed[:, t], w)
+                      for t, w in enumerate(per_column)], axis=1)
+    else:
+        weights = glm.make_weights("uniform", partition)
+        a, m = op.measurement_matrix(weights), glm.measure(observed, weights)
+    gain, r = op.gain(weights), op.readout(weights, observed)
+    k = op.ub.shape[1]
+    assert gain.shape == ((trials, k, k) if per_trial else (k, k))
+    # sums of the same products in another order: exact to rounding
+    eps = np.finfo(np.float64).eps
+    assert np.abs(gain - op.bt @ a).max() <= 16 * eps * np.abs(gain).max()
+    assert np.abs(r - op.bt @ m).max() <= 16 * eps * np.abs(r).max()
+
+    got = op.iterate(gain, r, 60, stop_tolerance, truth)
+    c, increments, errors, reason = measurement_space_oracle(
+        op, a, m, 60, stop_tolerance, truth)
+    assert got.stop_reason == reason
+    assert reason == ("converged" if stop_tolerance else "max_iterations")
+    assert got.increments.shape == increments.shape
+    assert np.allclose(got.coefficients, c, rtol=1e-12, atol=0.0)
+    assert np.allclose(got.errors, errors, rtol=1e-12, atol=0.0)
+    # an increment is a difference of iterates, exact to rounding of |c|
+    assert np.allclose(got.increments, increments, rtol=1e-12,
+                       atol=4 * eps * np.abs(c).max())
+
+
 @pytest.mark.parametrize("offband", [0.0, 0.05])
 def test_run_experiment_matches_dense_oracle(offband):
     text = (
@@ -69,6 +142,8 @@ def test_run_experiment_matches_dense_oracle(offband):
     partition = glm.greedy_partition(graph, 3)
     model = _build_noise_model(cfg, graph.n_vertices)
     curves = {s: [] for s in cfg.schemes}
+    radii = {s: [] for s in cfg.schemes}  # (norm, spectral radius) of I - B^T A
+    op = glm.BandOperator(basis, 0.3, partition)
     for t in range(cfg.trials):
         f = glm.random_bandlimited(basis, 0.3, _rng(9, _STREAM_SIGNAL, t),
                                    offband_energy=offband or None)
@@ -79,10 +154,16 @@ def test_run_experiment_matches_dense_oracle(offband):
             m = weights.to_matrix(graph.n_vertices) @ observed
             *_, errors = oracle(basis, 0.3, partition, weights, m, 25, truth=f)
             curves[scheme].append(errors / np.linalg.norm(f))
+            it = np.eye(op.bt.shape[0]) - op.bt @ op.measurement_matrix(weights)
+            radii[scheme].append((np.linalg.norm(it, 2),
+                                  np.abs(np.linalg.eigvals(it)).max()))
     for scheme in cfg.schemes:
         want = np.array(curves[scheme])
         assert np.max(np.abs(report.mean_rel_error[scheme] - want.mean(axis=0))) < 1e-12
         assert np.max(np.abs(report.std_rel_error[scheme] - want.std(axis=0))) < 1e-12
+        norm, radius = np.max(radii[scheme], axis=0)
+        assert report.contraction[scheme] == pytest.approx(norm, rel=1e-10)
+        assert report.spectral_radius[scheme] == pytest.approx(radius, rel=1e-10)
 
 
 def test_ilmr_early_stop_matches_dense_oracle(grid20, grid20_pairs):

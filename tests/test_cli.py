@@ -70,6 +70,27 @@ def test_run_writes_csv_and_meta(tmp_path, capsys):
     assert meta["resolved"]["n_sets"] == 32
 
 
+def test_run_warns_when_the_iteration_diverges(tmp_path, capsys):
+    # sets of up to 12 vertices make optimal_dirac's I - M expand (radius 1.07)
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        "name = diverge\ngraph = rgg\ngraph.n = 300\ngraph.radius = 0.09\n"
+        "band_dim = 10\nn_max = 12\nschemes = optimal uniform optimal_dirac\n"
+        "noise = grouped\nnoise.sigma = 1e-4 2e-4 5e-4\ntrials = 2\n"
+        "max_iterations = 3\nseed = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "warning: gamma >= 1, no convergence guarantee",
+        "warning: optimal_dirac: spectral radius 1.07099 >= 1, "
+        "the iteration diverges",
+    ]
+    assert "spectral radius" not in out
+    meta = json.loads((tmp_path / "diverge_meta.json").read_text(encoding="utf-8"))
+    assert meta["iteration"]["optimal_dirac"]["spectral_radius"] >= 1.0
+    assert meta["iteration"]["uniform"]["spectral_radius"] < 1.0
+
+
 def test_run_out_dir_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")

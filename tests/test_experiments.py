@@ -7,7 +7,12 @@ import pytest
 
 import graphlmr as glm
 from graphlmr import ConfigError
-from graphlmr.experiments import _build_noise_model, _resolve_omega, format_report_csv
+from graphlmr.experiments import (
+    _build_noise_model,
+    _resolve_omega,
+    _rng,
+    format_report_csv,
+)
 
 GRID_CFG = """
 # noise-free convergence on a small grid
@@ -306,6 +311,31 @@ def test_meta_sidecar(tmp_path):
     assert "written_at" in meta
     assert set(meta["steady_state"]) == {"uniform", "random"}
     assert meta["timings"] == report.timings
+    assert meta["iteration"] == {
+        s: {"contraction": report.contraction[s],
+            "spectral_radius": report.spectral_radius[s]}
+        for s in ("uniform", "random")
+    }
+    # the radius never exceeds the norm; they agree (to rounding) when I - M
+    # is symmetric, as under uniform weights
+    for s in report.schemes:
+        assert 0.0 <= report.spectral_radius[s] <= report.contraction[s] * (1 + 1e-12)
+        assert report.contraction[s] < 1.0
+
+
+@pytest.mark.parametrize("key", [(0,), (1, 103, 5), (7, 105, 99, 2),
+                                 (2**32 - 1, 101), (2**40, 104, 3)])
+def test_rng_draws_what_default_rng_draws(key):
+    want = np.random.default_rng(np.random.SeedSequence(list(key)))
+    got = _rng(*key)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(5), want.random(5))
+    assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+
+
+def test_rng_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        _rng(1, -2)
 
 
 def test_report_times_every_stage():

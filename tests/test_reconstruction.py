@@ -35,6 +35,11 @@ def test_band_operator_rejects_foreign_weights(p4):
     other = glm.make_weights("uniform", Partition(sets=((0,), (1, 2, 3))))
     with pytest.raises(ValueError, match="different partition"):
         op.measurement_matrix(other)
+    for method in (op.gain, lambda w: op.readout(w, np.zeros((4, 1)))):
+        with pytest.raises(ValueError, match="different partition"):
+            method(other)
+        with pytest.raises(ValueError, match=r"must be \(T, 4\)"):
+            method(np.full((2, 3), 0.5))
     with pytest.raises(ValueError, match="vertex range"):
         glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
 

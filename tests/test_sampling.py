@@ -309,3 +309,48 @@ def test_weights_parse_errors(pair_partition):
         glm.sampling.parse_weights("0 0:1.0\n", pair_partition)
     with pytest.raises(ValueError, match="bad entry"):
         glm.sampling.parse_weights("0 0:x\n1 2:1.0\n", pair_partition)
+
+
+# set sizes past 8, where a pairwise sum would reorder the totals
+BLOCK_PARTITION = Partition(
+    sets=(tuple(range(12)), (12,), (13, 14), tuple(range(15, 40))))
+
+
+@pytest.mark.parametrize("scheme", ["random", "dirac"])
+def test_draw_weights_matches_make_weights_bitwise(scheme):
+    rngs = [np.random.default_rng([4, t]) for t in range(6)]
+    block = glm.draw_weights(scheme, BLOCK_PARTITION, rngs)
+    assert block.shape == (6, 40)
+    for t, rng in enumerate(rngs):
+        single = np.random.default_rng([4, t])
+        want = glm.make_weights(scheme, BLOCK_PARTITION, rng=single).flat_values()
+        assert np.array_equal(block[t], want)
+        assert rng.bit_generator.state == single.bit_generator.state
+
+
+def test_draw_weights_redraws_zero_sum_sets_per_trial():
+    class Scripted:
+        """Hands out scripted draws, then ones; records the sizes asked for."""
+
+        def __init__(self, *draws):
+            self.draws, self.sizes = list(draws), []
+
+        def random(self, size):
+            self.sizes.append(size)
+            return np.array(self.draws.pop(0)) if self.draws else np.ones(size)
+
+    partition = Partition(sets=((0, 1), (2,)))
+    scripts = [([0.25, 0.75, 0.0],), ([0.0, 0.0, 0.5], [0.0, 0.0]), ([0.5, 0.5, 0.5],)]
+    rngs = [Scripted(*draws) for draws in scripts]
+    block = glm.draw_weights("random", partition, rngs)
+    for t, draws in enumerate(scripts):
+        single = Scripted(*draws)
+        want = glm.make_weights("random", partition, rng=single).flat_values()
+        assert np.array_equal(block[t], want)
+        assert rngs[t].sizes == single.sizes
+    assert rngs[1].sizes == [3, 2, 2]  # set 0 drew zeros twice
+
+
+def test_draw_weights_rejects_fixed_schemes():
+    with pytest.raises(ValueError, match="'random' or 'dirac'"):
+        glm.draw_weights("uniform", BLOCK_PARTITION, [np.random.default_rng(0)])

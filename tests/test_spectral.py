@@ -141,6 +141,18 @@ def test_basis_copies_caller_arrays(p4):
     assert not basis.eigenvectors.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_basis_rejects_non_finite_eigenpairs(bad):
+    vecs = np.eye(2)
+    vecs[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            glm.SpectralBasis(eigenvalues=[0.0, bad], eigenvectors=np.eye(2))
+        with pytest.raises(ValueError, match="eigenvectors must be finite"):
+            glm.SpectralBasis(eigenvalues=[0.0, 1.0], eigenvectors=vecs)
+
+
 def test_gft_roundtrip_and_parseval(grid20):
     _, basis = grid20
     f = np.random.default_rng(0).standard_normal(basis.n)
@@ -268,3 +280,41 @@ def test_random_bandlimited_offband_matches_masked_draw(grid20):
             + math.sqrt(e) * unit_draw(basis.eigenvectors[:, ~mask]))
     # same draws; BLAS may sum a strided view in another order than a copy
     assert np.allclose(got, want, rtol=0.0, atol=basis.n * np.finfo(np.float64).eps)
+
+
+@pytest.mark.parametrize("offband", [None, 0.3])
+def test_random_bandlimited_block_matches_single_draws(grid20, offband):
+    _, basis = grid20
+    rngs = [np.random.default_rng([9, t]) for t in range(5)]
+    block = glm.random_bandlimited_block(basis, 0.1, rngs, offband)
+    assert block.shape == (basis.n, 5)
+    for t, rng in enumerate(rngs):
+        single = np.random.default_rng([9, t])
+        want = glm.random_bandlimited(basis, 0.1, single, offband_energy=offband)
+        # same draws; a block product may sum in another order than one column
+        assert np.allclose(block[:, t], want, rtol=0.0,
+                           atol=basis.n * np.finfo(np.float64).eps)
+        assert rng.bit_generator.state == single.bit_generator.state
+
+
+def test_random_bandlimited_block_retries_zero_draws(p4):
+    _, basis = p4
+
+    class Zeros:
+        """Draws ``zeros`` all-zero vectors, then ones."""
+
+        def __init__(self, zeros):
+            self.zeros, self.calls = zeros, 0
+
+        def standard_normal(self, size):
+            self.calls += 1
+            return np.zeros(size) if self.calls <= self.zeros else np.ones(size)
+
+    rngs = [Zeros(0), Zeros(3), Zeros(15)]
+    block = glm.random_bandlimited_block(basis, 10.0, rngs)
+    assert [r.calls for r in rngs] == [1, 4, 16]
+    # ones over an orthonormal basis of the whole spectrum have norm 2
+    want = basis.eigenvectors @ np.ones(4) / 2
+    assert np.allclose(block, np.tile(want[:, None], 3), rtol=0.0, atol=1e-15)
+    with pytest.raises(RuntimeError, match="zero vector"):
+        glm.random_bandlimited_block(basis, 10.0, [Zeros(16)])
