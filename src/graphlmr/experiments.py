@@ -59,7 +59,7 @@ class ConfigError(ValueError):
     """Unusable experiment configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GraphConfig:
     """Where the graph comes from: a generator or an edge-list file."""
 
@@ -74,7 +74,7 @@ class GraphConfig:
     dedup: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NoiseConfig:
     """Per-vertex Gaussian noise: none, one sigma for all, or grouped sigmas.
 
@@ -83,20 +83,20 @@ class NoiseConfig:
     each chunk one sigma.
     """
 
-    kind: str  # "none" | "iid" | "grouped"
+    kind: str = "none"  # "none" | "iid" | "grouped"
     sigma: tuple[float, ...] = ()
     fractions: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    name: str
+    name: str = "experiment"
     graph: GraphConfig
     schemes: tuple[str, ...]
     noise: NoiseConfig
-    trials: int
-    max_iterations: int
-    seed: int
+    trials: int = 100
+    max_iterations: int = 100
+    seed: int = 0
     omega: float | None = None
     band_dim: int | None = None
     n_max: int | None = None
@@ -155,40 +155,29 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-_GRAPH_KINDS = ("path", "grid", "rgg", "edgelist")
-_NOISE_KINDS = ("none", "iid", "grouped")
-_KNOWN_KEYS = {
-    "name",
-    "graph",
-    "graph.n",
-    "graph.rows",
-    "graph.cols",
-    "graph.radius",
-    "graph.path",
-    "graph.index_base",
-    "graph.header",
-    "graph.dedup",
-    "omega",
-    "band_dim",
-    "n_max",
-    "schemes",
-    "noise",
-    "noise.sigma",
-    "noise.fractions",
-    "offband_energy",
-    "trials",
-    "max_iterations",
-    "seed",
+# graph kind -> (required graph.* keys, further allowed ones)
+_GRAPH_KINDS = {
+    "path": (("n",), ()),
+    "grid": (("rows", "cols"), ()),
+    "rgg": (("n", "radius"), ()),
+    "edgelist": (("path",), ("index_base", "header", "dedup")),
 }
+_NOISE_KINDS = ("none", "iid", "grouped")
 
 
-def _parse_scalar(raw: dict[str, str], key: str, conv, default=None):
-    if key not in raw:
-        return default
-    try:
-        return conv(raw[key])
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw[key]!r}") from None
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(_finite(word) for word in _words(text))
 
 
 def _parse_bool(text: str) -> bool:
@@ -200,8 +189,50 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def _parse_list(text: str) -> list[str]:
-    return text.replace(",", " ").split()
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+# Every config key: its parser, then, if the key has one, the accepted range
+# and the message that follows the key name when a value is outside it ("{!r}"
+# takes the raw text).  A parser raises ValueError on a malformed value.
+_KEYS = {
+    "name": (str,),
+    "graph": (str, lambda v: v in _GRAPH_KINDS,
+              f"must be one of {', '.join(_GRAPH_KINDS)}; got {{!r}}"),
+    "graph.n": (int, *_AT_LEAST_1),
+    "graph.rows": (int, *_AT_LEAST_1),
+    "graph.cols": (int, *_AT_LEAST_1),
+    "graph.radius": (_finite, *_POSITIVE),
+    "graph.path": (str,),
+    "graph.index_base": (int, lambda v: v in (0, 1), "must be 0 or 1"),
+    "graph.header": (_parse_bool,),
+    "graph.dedup": (_parse_bool,),
+    "omega": (_finite, *_POSITIVE),
+    "band_dim": (int, *_AT_LEAST_1),
+    "n_max": (int, *_AT_LEAST_1),
+    "schemes": (_words, bool, "must be nonempty"),
+    "noise": (str, lambda v: v in _NOISE_KINDS,
+              f"must be one of {', '.join(_NOISE_KINDS)}; got {{!r}}"),
+    "noise.sigma": (_finites, lambda v: all(s >= 0 for s in v),
+                    "entries must be nonnegative"),
+    # range checked in parse_config, after the length match with noise.sigma
+    "noise.fractions": (_finites,),
+    "offband_energy": (_finite, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "trials": (int, *_AT_LEAST_1),
+    "max_iterations": (int, *_AT_LEAST_1),
+    "seed": (int, lambda v: v >= 0, "must be nonnegative"),
+}
+
+
+def _parse_value(key: str, text: str):
+    parse, *rule = _KEYS[key]
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {text!r}") from None
+    if rule and not rule[0](value):
+        raise ConfigError(f"{key} {rule[1]}".format(text))
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -214,7 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -222,40 +253,31 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: empty value for {key!r}")
         raw[key] = value
 
-    kind = raw.get("graph")
-    if kind is None:
-        raise ConfigError("missing required key 'graph'")
-    if kind not in _GRAPH_KINDS:
-        raise ConfigError(
-            f"graph must be one of {', '.join(_GRAPH_KINDS)}; got {kind!r}"
-        )
-    graph = GraphConfig(
-        kind=kind,
-        n=_parse_scalar(raw, "graph.n", int),
-        rows=_parse_scalar(raw, "graph.rows", int),
-        cols=_parse_scalar(raw, "graph.cols", int),
-        radius=_parse_scalar(raw, "graph.radius", float),
-        path=raw.get("graph.path"),
-        index_base=_parse_scalar(raw, "graph.index_base", int, 0),
-        header=_parse_scalar(raw, "graph.header", _parse_bool, False),
-        dedup=_parse_scalar(raw, "graph.dedup", _parse_bool, False),
-    )
-    _validate_graph(graph)
+    # "graph" and "noise" set their section's kind, "graph.n" its field n
+    fields: dict[str, dict] = {"": {}, "graph": {}, "noise": {}}
+    for key in _KEYS:
+        if key in raw:
+            head, _, tail = key.rpartition(".")
+            section, name = (key, "kind") if key in fields else (head, tail)
+            fields[section][name] = _parse_value(key, raw[key])
+
+    for key in ("graph", "schemes"):
+        if key not in raw:
+            raise ConfigError(f"missing required key {key!r}")
+
+    graph = GraphConfig(**fields["graph"])
+    need, optional = _GRAPH_KINDS[graph.kind]
+    for name in need:
+        if name not in fields["graph"]:
+            raise ConfigError(f"graph = {graph.kind} requires graph.{name}")
+    for name in fields["graph"]:
+        if name not in ("kind", *need, *optional):
+            raise ConfigError(f"graph.{name} does not apply to graph = {graph.kind}")
 
     if ("omega" in raw) == ("band_dim" in raw):
         raise ConfigError("exactly one of omega / band_dim must be set")
-    omega = _parse_scalar(raw, "omega", float)
-    band_dim = _parse_scalar(raw, "band_dim", int)
-    if omega is not None and omega <= 0:
-        raise ConfigError("omega must be positive")
-    if band_dim is not None and band_dim < 1:
-        raise ConfigError("band_dim must be at least 1")
 
-    if "schemes" not in raw:
-        raise ConfigError("missing required key 'schemes'")
-    schemes = tuple(_parse_list(raw["schemes"]))
-    if not schemes:
-        raise ConfigError("schemes must be nonempty")
+    schemes = fields[""]["schemes"]
     for s in schemes:
         if s not in WEIGHT_SCHEMES:
             raise ConfigError(
@@ -264,111 +286,34 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(set(schemes)) != len(schemes):
         raise ConfigError("schemes must not repeat")
 
-    noise_kind = raw.get("noise", "none")
-    if noise_kind not in _NOISE_KINDS:
-        raise ConfigError(
-            f"noise must be one of {', '.join(_NOISE_KINDS)}; got {noise_kind!r}"
-        )
-    sigma: tuple[float, ...] = ()
-    fractions: tuple[float, ...] | None = None
-    if noise_kind == "none":
+    noise = NoiseConfig(**fields["noise"])
+    if noise.kind == "none":
         if "noise.sigma" in raw or "noise.fractions" in raw:
             raise ConfigError("noise = none takes no sigma / fractions")
-    else:
-        if "noise.sigma" not in raw:
-            raise ConfigError(f"noise = {noise_kind} requires noise.sigma")
-        try:
-            sigma = tuple(float(s) for s in _parse_list(raw["noise.sigma"]))
-        except ValueError:
-            raise ConfigError(
-                f"bad noise.sigma: {raw['noise.sigma']!r}"
-            ) from None
-        if any(s < 0 for s in sigma):
-            raise ConfigError("noise.sigma entries must be nonnegative")
-        if noise_kind == "iid":
-            if len(sigma) != 1:
-                raise ConfigError("noise = iid takes exactly one sigma")
-            if "noise.fractions" in raw:
-                raise ConfigError("noise = iid takes no fractions")
-        else:
-            if len(sigma) < 1:
-                raise ConfigError("noise = grouped needs at least one sigma")
-            if "noise.fractions" in raw:
-                try:
-                    fractions = tuple(
-                        float(s) for s in _parse_list(raw["noise.fractions"])
-                    )
-                except ValueError:
-                    raise ConfigError(
-                        f"bad noise.fractions: {raw['noise.fractions']!r}"
-                    ) from None
-                if len(fractions) != len(sigma):
-                    raise ConfigError(
-                        "noise.fractions must match noise.sigma in length"
-                    )
-                if any(f < 0 for f in fractions) or not math.isclose(
-                    sum(fractions), 1.0, rel_tol=0, abs_tol=1e-6
-                ):
-                    raise ConfigError("noise.fractions must be >= 0 and sum to 1")
-    noise = NoiseConfig(kind=noise_kind, sigma=sigma, fractions=fractions)
+    elif "noise.sigma" not in raw:
+        raise ConfigError(f"noise = {noise.kind} requires noise.sigma")
+    elif noise.kind == "iid":
+        if len(noise.sigma) != 1:
+            raise ConfigError("noise = iid takes exactly one sigma")
+        if "noise.fractions" in raw:
+            raise ConfigError("noise = iid takes no fractions")
+    elif not noise.sigma:
+        raise ConfigError("noise = grouped needs at least one sigma")
+    elif noise.fractions is not None:
+        if len(noise.fractions) != len(noise.sigma):
+            raise ConfigError("noise.fractions must match noise.sigma in length")
+        if min(noise.fractions) < 0 or not math.isclose(
+            sum(noise.fractions), 1.0, rel_tol=0, abs_tol=1e-6
+        ):
+            raise ConfigError("noise.fractions must be >= 0 and sum to 1")
 
     needs_noise = {"optimal", "optimal_dirac"} & set(schemes)
-    if needs_noise:
-        if noise_kind == "none" or any(s <= 0 for s in sigma):
-            raise ConfigError(
-                f"schemes {sorted(needs_noise)} require noise with sigma > 0"
-            )
+    if needs_noise and (noise.kind == "none" or min(noise.sigma) <= 0):
+        raise ConfigError(
+            f"schemes {sorted(needs_noise)} require noise with sigma > 0"
+        )
 
-    offband = _parse_scalar(raw, "offband_energy", float, 0.0)
-    if not 0.0 <= offband < 1.0:
-        raise ConfigError("offband_energy must lie in [0, 1)")
-    trials = _parse_scalar(raw, "trials", int, 100)
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    max_iterations = _parse_scalar(raw, "max_iterations", int, 100)
-    if max_iterations < 1:
-        raise ConfigError("max_iterations must be at least 1")
-    n_max = _parse_scalar(raw, "n_max", int)
-    if n_max is not None and n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-
-    return ExperimentConfig(
-        name=raw.get("name", "experiment"),
-        graph=graph,
-        schemes=schemes,
-        noise=noise,
-        trials=trials,
-        max_iterations=max_iterations,
-        seed=_parse_scalar(raw, "seed", int, 0),
-        omega=omega,
-        band_dim=band_dim,
-        n_max=n_max,
-        offband_energy=offband,
-    )
-
-
-def _validate_graph(graph: GraphConfig) -> None:
-    need = {
-        "path": ("n",),
-        "grid": ("rows", "cols"),
-        "rgg": ("n", "radius"),
-        "edgelist": ("path",),
-    }[graph.kind]
-    allowed = set(need) | (
-        {"index_base", "header", "dedup"} if graph.kind == "edgelist" else set()
-    )
-    for f_name in need:
-        if getattr(graph, f_name) is None:
-            raise ConfigError(f"graph = {graph.kind} requires graph.{f_name}")
-    unset = GraphConfig(kind=graph.kind)
-    for f_name in ("n", "rows", "cols", "radius", "path", "index_base", "header",
-                   "dedup"):
-        if getattr(graph, f_name) != getattr(unset, f_name) and f_name not in allowed:
-            raise ConfigError(
-                f"graph.{f_name} does not apply to graph = {graph.kind}"
-            )
-    if graph.index_base not in (0, 1):
-        raise ConfigError("graph.index_base must be 0 or 1")
+    return ExperimentConfig(graph=graph, noise=noise, **fields[""])
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import graphlmr as glm
 from graphlmr import ConfigError
 from graphlmr.experiments import (
+    _KEYS,
     _build_noise_model,
     _resolve_omega,
     _rng,
@@ -99,6 +101,67 @@ def test_parse_config_defaults():
          "graph.dedup = true\n", "graph.dedup does not apply"),
         ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
          "schemes = uniform\ngraph.header = true\n", "graph.header does not apply"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = ,\n",
+         "schemes must be nonempty"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = grouped\nnoise.sigma = ,\n", "needs at least one sigma"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = iid\nnoise.sigma = 0.1\nnoise.fractions = 1\n",
+         "iid takes no fractions"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = iid\nnoise.sigma = 1e-3x\n",
+         r"bad value for noise\.sigma: '1e-3x'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = 0.5 half\n",
+         r"bad value for noise\.fractions: '0\.5 half'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = iid\nnoise.sigma = -0.1\n", "noise.sigma entries must be nonnegative"),
+        ("graph = path\ngraph.n = 8\nomega =\nschemes = uniform\n",
+         "empty value for 'omega'"),
+        ("graph = edgelist\ngraph.path = g.edges\ngraph.index_base = 2\nomega = 0.1\n"
+         "schemes = uniform\n", "graph.index_base must be 0 or 1"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\nn_max = 0\n",
+         "n_max must be at least 1"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "max_iterations = 0\n", "max_iterations must be at least 1"),
+        # non-finite floats fail at parse time, naming the key
+        ("graph = path\ngraph.n = 8\nomega = inf\nschemes = uniform\n",
+         "bad value for omega: 'inf'"),
+        ("graph = path\ngraph.n = 8\nomega = nan\nschemes = uniform\n",
+         "bad value for omega: 'nan'"),
+        ("graph = rgg\ngraph.n = 50\ngraph.radius = inf\nomega = 0.1\n"
+         "schemes = uniform\n", r"bad value for graph\.radius: 'inf'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "offband_energy = nan\n", "bad value for offband_energy: 'nan'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = grouped\nnoise.sigma = 1e-4 -inf\n",
+         r"bad value for noise\.sigma: '1e-4 -inf'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = nan 0.5\n",
+         r"bad value for noise\.fractions: 'nan 0\.5'"),
+        # ranges that used to fail only inside the generators or the seeding
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\nseed = -1\n",
+         "seed must be nonnegative"),
+        ("graph = path\ngraph.n = 0\nomega = 0.1\nschemes = uniform\n",
+         r"graph\.n must be at least 1"),
+        ("graph = grid\ngraph.rows = 0\ngraph.cols = 3\nomega = 0.1\n"
+         "schemes = uniform\n", r"graph\.rows must be at least 1"),
+        ("graph = grid\ngraph.rows = 3\ngraph.cols = 0\nomega = 0.1\n"
+         "schemes = uniform\n", r"graph\.cols must be at least 1"),
+        ("graph = rgg\ngraph.n = 50\ngraph.radius = -1\nomega = 0.1\n"
+         "schemes = uniform\n", r"graph\.radius must be positive"),
+        ("graph = rgg\ngraph.n = 50\ngraph.radius = 0\nomega = 0.1\n"
+         "schemes = uniform\n", r"graph\.radius must be positive"),
+        # edge-list keys do not apply to other kinds, whatever their value
+        ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
+         "schemes = uniform\ngraph.index_base = 0\n",
+         "graph.index_base does not apply to graph = grid"),
+        ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
+         "schemes = uniform\ngraph.header = false\n",
+         "graph.header does not apply to graph = grid"),
+        ("graph = rgg\ngraph.n = 50\ngraph.radius = 0.3\nomega = 0.1\n"
+         "schemes = uniform\ngraph.dedup = no\n",
+         "graph.dedup does not apply to graph = rgg"),
     ],
 )
 def test_parse_config_errors(text, match):
@@ -355,6 +418,19 @@ def test_shipped_configs_parse():
     for path in paths:
         cfg = glm.load_config(path)
         assert cfg.name and cfg.schemes and cfg.trials >= 1, path.name
+
+
+def test_readme_config_table_matches_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    documented = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+    assert documented == set(_KEYS)
+    for key in documented:  # each documented key gets past the key check
+        with pytest.raises(ConfigError) as info:
+            glm.parse_config(f"{key} = -1\n")
+        assert "unknown key" not in str(info.value), key
 
 
 def test_bootstrap_gap_quantile():
