@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    ConfigError,
     load_config,
     run_experiment,
     write_report_csv,
     write_report_meta,
 )
-from .graph import EdgeListError, build_laplacian, load_edge_list
+from .graph import build_laplacian, load_edge_list
 from .localsets import greedy_partition, partition_metrics, write_partition
 from .spectral import eigendecompose
 
@@ -76,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "partition":
             return _cmd_partition(args)
         return _cmd_info(args)
-    except (ConfigError, EdgeListError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError, EdgeListError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,12 @@ _STREAM_SIGNAL = 103
 _STREAM_NOISE = 104
 _STREAM_WEIGHTS = 105
 
+# bootstrap_gap_quantile: paired resamples, their seed, and the lower
+# quantile reported (one-sided 95% confidence)
+_GAP_RESAMPLES = 4000
+_GAP_SEED = 0
+_GAP_QUANTILE = 0.05
+
 
 class ConfigError(ValueError):
     """Unusable experiment configuration."""
@@ -483,12 +489,10 @@ def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
     Path(path).write_text(format_report_csv(report), encoding="utf-8")
 
 
-def write_report_meta(
-    report: ExperimentReport, path: str | Path, timestamp: bool = True
-) -> None:
+def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
     """Sidecar JSON echoing the config, the resolved run parameters, each
-    scheme's contraction factor and spectral radius, and the stage timings
-    in seconds."""
+    scheme's contraction factor and spectral radius, the stage timings in
+    seconds and the time of writing."""
     payload = {
         "name": report.config.name,
         "config": asdict(report.config),
@@ -516,22 +520,16 @@ def write_report_meta(
         },
         "seed": report.config.seed,
         "timings": report.timings,
+        "written_at": datetime.now(timezone.utc).isoformat(),
     }
-    if timestamp:
-        payload["written_at"] = datetime.now(timezone.utc).isoformat()
     Path(path).write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def bootstrap_gap_quantile(
-    smaller: np.ndarray,
-    larger: np.ndarray,
-    n_resamples: int = 4000,
-    seed: int = 0,
-    quantile: float = 0.05,
-) -> float:
-    """Lower quantile of mean(larger - smaller) under paired resampling.
+def bootstrap_gap_quantile(smaller: np.ndarray, larger: np.ndarray) -> float:
+    """Lower ``_GAP_QUANTILE`` quantile of mean(larger - smaller) over
+    ``_GAP_RESAMPLES`` paired resamples drawn with seed ``_GAP_SEED``.
 
     A positive return value supports "smaller beats larger" at the
     (1 - quantile) one-sided confidence level.  Pairing is by trial, which
@@ -543,7 +541,7 @@ def bootstrap_gap_quantile(
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("need two equally sized nonempty 1-d samples")
     diffs = b - a
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(n_resamples, diffs.size))
+    rng = np.random.default_rng(_GAP_SEED)
+    idx = rng.integers(0, diffs.size, size=(_GAP_RESAMPLES, diffs.size))
     means = diffs[idx].mean(axis=1)
-    return float(np.quantile(means, quantile))
+    return float(np.quantile(means, _GAP_QUANTILE))

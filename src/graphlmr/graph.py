@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,20 +182,13 @@ def _edge_keys(
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    try:
-        pairs = np.asarray(edges, dtype=np.int64)
-    except OverflowError:
-        # a value beyond int64 is out of range for any graph; -1 keeps it so
-        pairs = np.array(
-            [[x if 0 <= x < n else -1 for x in map(int, e)] for e in edges],
-            dtype=np.int64,
-        )
+    pairs = _vertex_ids(edges, n)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    out = (lo < 0) | (hi >= n)
+    out = lo < 0
     loop = ~out & (lo == hi)
     valid = np.flatnonzero(~out & ~loop)
     # sorted stably, an edge equal to its predecessor repeats an earlier one
@@ -218,16 +211,32 @@ def _edge_keys(
     return key[~repeat]
 
 
-def _is_data(fields: list[str]) -> bool:
-    """An edge-list line holds data unless it is blank or a ``#`` comment."""
-    return bool(fields) and not fields[0].startswith("#")
+def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
+    """``values``, an array or nested sequence of ints, as an int64 array in
+    which every id outside ``0 .. n - 1`` reads -1, ids no int64 holds too."""
+    try:
+        ids = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        ids = np.asarray(values, dtype=object)  # Python ints compare exactly
+    return np.where((ids >= 0) & (ids < n), ids, -1).astype(np.int64, copy=False)
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of every line of a text file format that is
+    neither blank nor a comment, a line whose first field starts with ``#``."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield line_no, fields
 
 
 def _int64_pairs(text: str) -> np.ndarray | None:
     """Every data line as a row of an ``(m, 2)`` int64 array, in one numpy
     conversion; ``None`` when some data line is not two integers that fit."""
-    # blank lines split to no fields, so only comments need dropping; the
-    # "#" test spares the strip on almost every line
+    # the lines _records keeps, without its list of fields per line, which
+    # would add to the peak on a large file: blank lines split to no fields,
+    # so only comments need dropping; the "#" test spares the strip on
+    # almost every line
     data = [
         line for line in text.splitlines()
         if "#" not in line or not line.lstrip().startswith("#")
@@ -277,14 +286,12 @@ def parse_edge_list(
     values = _int64_pairs(text)
     rows = None
     if values is None:  # find the first malformed line, reading line by line
-        rows = list(filter(_is_data, map(str.split, text.splitlines())))
+        rows = [fields for _, fields in _records(text)]
         values = _leading_int_rows(rows)
     n_rows = len(values) if rows is None else len(rows)
 
     def line_no(row: int) -> int:
-        lines = enumerate(text.splitlines(), 1)
-        data = (no for no, raw in lines if _is_data(raw.split()))
-        return next(islice(data, row, None))
+        return next(islice(_records(text), row, None))[0]
 
     start = 1 if header and len(values) else 0
     if start and (values[0] < 0).any():
@@ -380,13 +387,10 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool
     sorted order of the (deduplicated) input vertices.
     """
     n = graph.n_vertices
-    # any vertex outside -1 .. n is as out of range as -1 or n, and fits intp
-    vs = np.unique(
-        np.fromiter((min(max(int(v), -1), n) for v in vertices), dtype=np.intp)
-    )
+    vs = np.unique(_vertex_ids(list(vertices), n))
     if not vs.size:
         raise ValueError("vertex set must be nonempty")
-    if vs[0] < 0 or vs[-1] >= n:
+    if vs[0] < 0:
         raise ValueError(f"vertex out of range for {n} vertices")
     sub = graph.induced_union(np.zeros_like(vs), vs)
     return sub, is_connected(sub)

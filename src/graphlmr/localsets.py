@@ -11,12 +11,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _records, _vertex_ids
 
 __all__ = [
     "Partition",
@@ -106,6 +107,12 @@ class Partition:
             raise ValueError(f"partition holds negative vertex {verts.min()}")
         if verts.size and verts.max() >= n:
             raise ValueError(f"{what} shorter than the partition's vertex range")
+
+    def gather(self, values: np.ndarray, what: str) -> np.ndarray:
+        """``values[v]`` for every member ``v``, in :meth:`member_arrays`
+        order, once :meth:`check_range` has passed for ``len(values)``."""
+        self.check_range(len(values), what)
+        return values[self._flat[0]]
 
     def with_centers(self, centers: Sequence[int]) -> "Partition":
         return Partition(sets=self.sets, centers=tuple(int(c) for c in centers))
@@ -244,18 +251,12 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
     """Violations of :func:`validate_partition` plus the reach they came from."""
     n, n_sets = graph.n_vertices, partition.n_sets
-    try:
-        verts, ids = partition.member_arrays()
-        sizes = partition.sizes()
-    except ValueError:
-        # a member beyond int64 is out of range for any graph; -1 keeps it so
-        sizes = np.array([len(s) for s in partition.sets], dtype=np.intp)
-        verts = np.fromiter(
-            (v if 0 <= v < n else -1 for s in partition.sets for v in s),
-            dtype=np.intp, count=int(sizes.sum()),
-        )
-        ids = np.repeat(np.arange(n_sets), sizes)
-    in_range = (verts >= 0) & (verts < n)
+    # from the tuples, not member_arrays(): a member no int64 holds is a
+    # violation to report, not an error
+    sizes = np.fromiter(map(len, partition.sets), dtype=np.intp, count=n_sets)
+    verts = _vertex_ids(list(chain.from_iterable(partition.sets)), n)
+    ids = np.repeat(np.arange(n_sets), sizes)
+    in_range = verts >= 0
     # sets holding an out-of-range vertex are reported from their own tuples
     # (the vertex as given) and not searched
     bad = np.zeros(n_sets, dtype=bool)
@@ -396,16 +397,14 @@ def format_partition(partition: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of :func:`format_partition`; ``#`` comments and blanks ignored."""
+    """Inverse of :func:`format_partition`; blank and ``#`` comment lines are
+    skipped."""
     sets: list[tuple[int, ...]] = []
     centers: list[int | None] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, fields in _records(text):
         members: list[int] = []
         center: int | None = None
-        for tok in line.split():
+        for tok in fields:
             if tok.startswith("center="):
                 if center is not None:
                     raise ValueError(f"line {line_no}: multiple center tokens")

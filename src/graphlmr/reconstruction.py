@@ -29,7 +29,7 @@ import numpy as np
 from .graph import Graph
 from .localsets import Partition, partition_metrics
 from .sampling import LocalWeights, make_weights, measure
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _check_length
 
 __all__ = [
     "BandOperator",
@@ -117,13 +117,12 @@ class BandOperator:
     """
 
     def __init__(self, basis: SpectralBasis, omega: float, partition: Partition):
-        partition.check_range(basis.n, "basis")
         self.partition = partition
         self.ub = basis.band_vectors(omega)
-        verts, ids = partition.member_arrays()
-        self._rows = self.ub[verts]
+        self._rows = partition.gather(self.ub, "basis")
         self.bt = partition.sum_by_set(self._rows).T
-        self._spread = self.bt.T[ids]  # row j: the column of B^T for member j's set
+        # row j: the column of B^T for member j's set
+        self._spread = self.bt.T[partition.member_arrays()[1]]
 
     def _flat(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
         if isinstance(weights, LocalWeights):
@@ -163,8 +162,7 @@ class BandOperator:
         """r = B^T m for the measurements m of the columns of ``signals`` (n, T),
         (k, T); per-trial weights (T, |V|) measure column t with row t."""
         w = self._flat(weights)
-        self.partition.check_range(signals.shape[0], "signal")
-        measured = signals[self.partition.member_arrays()[0]].T
+        measured = self.partition.gather(signals, "signal").T
         measured *= w
         return (measured @ self._spread).T
 
@@ -196,12 +194,7 @@ class BandOperator:
         """
         if truth is not None:
             truth_c = self.ub.T @ truth
-            # truth - U_b truth_c, squared in place and freed before the traces
-            resid = self.ub @ truth_c
-            np.subtract(truth, resid, out=resid)
-            resid *= resid
-            offband = np.add.reduce(resid, axis=0)
-            del resid
+            offband = _column_sq(truth - self.ub @ truth_c)
         c = r
         # squared norms, one row per iterate, rooted in place at the end
         increments = np.empty((sweeps + 1, c.shape[1]))
@@ -239,9 +232,7 @@ def apply_G(
     signal: np.ndarray,
 ) -> np.ndarray:
     """One application of the interpolation operator G (measure, spread, project)."""
-    f = np.asarray(signal, dtype=np.float64)
-    if f.shape != (basis.n,):
-        raise ValueError(f"signal must have shape ({basis.n},), got {f.shape}")
+    f = _check_length(signal, basis.n, "signal")
     op = BandOperator(basis, omega, partition)
     return op.ub @ (op.bt @ measure(f, weights))
 
@@ -269,10 +260,7 @@ def ilmr(
     op = BandOperator(basis, config.omega, partition)
     truth = config.track_truth
     if truth is not None:
-        truth = np.asarray(truth, dtype=np.float64)
-        if truth.shape != (basis.n,):
-            raise ValueError("track_truth must match the basis size")
-        truth = truth[:, None]
+        truth = _check_length(truth, basis.n, "track_truth")[:, None]
     out = op.iterate(
         op.gain(weights), op.bt @ m[:, None], config.max_iterations,
         config.stop_tolerance, truth,
@@ -329,6 +317,10 @@ def ipr(
         raise ValueError("ipr requires a partition with centers")
     verts, ids = partition.member_arrays()
     at_center = verts == np.array(partition.centers)[ids]
+    outside = np.flatnonzero(partition.sum_by_set(at_center) == 0)
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"set {i}: center {partition.centers[i]} is not a member")
     weights = LocalWeights.from_flat(partition, at_center)
     return ilmr(decimated, partition, weights, basis, config, c_max=q_max)
 

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .graph import _records
 from .localsets import Partition
 
 __all__ = [
@@ -113,6 +114,7 @@ class LocalWeights:
 
     def to_matrix(self, n_vertices: int) -> np.ndarray:
         """Dense (n_sets, n_vertices) matrix whose rows are the weight vectors."""
+        self.partition.check_range(n_vertices, "matrix")
         mat = np.zeros((self.partition.n_sets, n_vertices))
         verts, ids = self.partition.member_arrays()
         mat[ids, verts] = self._flat
@@ -199,10 +201,11 @@ def make_weights(
     if scheme == "uniform":
         w = (1.0 / partition.sizes())[ids]
     elif scheme == "optimal":
-        w = 1.0 / noise.sigma[verts] ** 2
+        w = 1.0 / partition.gather(noise.sigma, "noise model") ** 2
     else:  # optimal_dirac; ties go to the lowest vertex index, not position
+        sigma = partition.gather(noise.sigma, "noise model")
         w = np.zeros(verts.size)
-        w[np.lexsort((verts, noise.sigma[verts], ids))[partition.set_starts()]] = 1.0
+        w[np.lexsort((verts, sigma, ids))[partition.set_starts()]] = 1.0
     return LocalWeights.from_flat(partition, w)
 
 
@@ -228,10 +231,8 @@ def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     exactly (each sum has a single term).
     """
     f = np.asarray(signal, dtype=np.float64)
-    weights.partition.check_range(f.shape[0], "signal")
-    verts, _ = weights.partition.member_arrays()
     w = weights.flat_values().reshape((-1,) + (1,) * (f.ndim - 1))
-    return weights.partition.sum_by_set(f[verts] * w)
+    return weights.partition.sum_by_set(weights.partition.gather(f, "signal") * w)
 
 
 class EquivalentNoise(NamedTuple):
@@ -251,10 +252,9 @@ def equivalent_noise_sigma(
     so E|n_i| = sigma_i * sqrt(2/pi).
     """
     partition = weights.partition
-    partition.check_range(noise.n, "noise model")
     # hypot never squares, so sigma beyond 1e+-154 neither under- nor overflows
     sig = np.hypot.reduceat(
-        noise.sigma[partition.member_arrays()[0]] * weights.flat_values(),
+        partition.gather(noise.sigma, "noise model") * weights.flat_values(),
         partition.set_starts(),
     )
     return EquivalentNoise(sigma=sig, expected_abs=sig * math.sqrt(2.0 / math.pi))
@@ -276,11 +276,7 @@ def parse_weights(text: str, partition: Partition) -> LocalWeights:
     named set are rejected.  Missing set lines are rejected too.
     """
     per_set: dict[int, dict[int, float]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for line_no, fields in _records(text):
         try:
             idx = int(fields[0])
         except ValueError:

@@ -28,6 +28,38 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
 
 
+def test_from_edges_rejects_too_many_vertices_and_non_pairs():
+    too_many = glm.graph._MAX_VERTICES + 1
+    with pytest.raises(ValueError, match=f"{too_many} vertices exceed"):
+        Graph.from_edges(too_many, [])
+    for edges in ([(0, 1, 2)], [0, 1], np.zeros((2, 2, 2), dtype=int)):
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) pairs"):
+            Graph.from_edges(3, edges)
+
+
+def test_vertex_ids_mark_every_outside_id():
+    ids = glm.graph._vertex_ids([[0, 10**20], [-(10**20), 2], [3, -1]], 3)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [[0, -1], [-1, 2], [-1, -1]]
+    given = np.array([5, 1, -7])
+    assert glm.graph._vertex_ids(given, 3).tolist() == [-1, 1, -1]
+    assert given.tolist() == [5, 1, -7]  # the caller's array is left alone
+
+
+def test_generators_reject_bad_arguments():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        glm.path_graph(0)
+    for rows, cols in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="rows and cols must be positive"):
+            glm.grid_graph(rows, cols)
+    with pytest.raises(ValueError, match="n must be positive"):
+        glm.random_geometric_graph(0, 0.5, rng)
+    for radius in (0.0, -0.1):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            glm.random_geometric_graph(5, radius, rng)
+
+
 def test_from_edges_dedup_collapses():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (2, 2), (0, 1)], dedup=True)
     assert g.edges == ((0, 1),)
@@ -77,6 +109,23 @@ def test_parse_edge_list_malformed():
 
 def test_parse_edge_list_empty_text():
     assert glm.parse_edge_list("").n_vertices == 0
+
+
+def test_file_formats_share_the_line_rule():
+    # blank lines and lines whose first field starts with "#" are skipped
+    # but counted; a "#" after data is data
+    skipped = "\n   \n# a comment\n  #indented\n\t#\n"
+    assert glm.parse_edge_list(skipped + "0 1\n") == Graph.from_edges(2, [(0, 1)])
+    partition = glm.localsets.parse_partition(skipped + "0 1\n")
+    assert partition == glm.Partition(sets=((0, 1),))
+    weights = glm.sampling.parse_weights(skipped + "0 0:1.0\n", partition)
+    assert weights.flat_values().tolist() == [1.0, 0.0]
+    with pytest.raises(EdgeListError, match="line 6: expected two integers"):
+        glm.parse_edge_list(skipped + "0 1 # note\n")
+    with pytest.raises(ValueError, match="line 6: non-integer vertex '#'"):
+        glm.localsets.parse_partition(skipped + "0 1 # note\n")
+    with pytest.raises(ValueError, match="line 6: bad entry '#'"):
+        glm.sampling.parse_weights(skipped + "0 0:1.0 # note\n", partition)
 
 
 def test_load_edge_list_roundtrip(tmp_path):

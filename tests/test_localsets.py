@@ -115,6 +115,18 @@ def test_partition_member_arrays():
     assert Partition(sets=()).sum_by_set(np.zeros((0, 2))).shape == (0, 2)
 
 
+def test_partition_gather_checks_the_range():
+    p = Partition(sets=((3, 1), (0,)))
+    values = np.array([10.0, 11.0, 12.0, 13.0])
+    assert p.gather(values, "signal").tolist() == [13.0, 11.0, 10.0]
+    rows = np.arange(8).reshape(4, 2)
+    assert p.gather(rows, "basis").tolist() == [[6, 7], [2, 3], [0, 1]]
+    with pytest.raises(ValueError, match="signal shorter"):
+        p.gather(values[:3], "signal")
+    with pytest.raises(ValueError, match="negative vertex -1"):
+        Partition(sets=((0, -1),)).gather(values, "signal")
+
+
 def test_metrics_p4_pairs():
     g = glm.path_graph(4)
     m = glm.partition_metrics(g, Partition(sets=((0, 1), (2, 3))))

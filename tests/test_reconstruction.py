@@ -72,6 +72,15 @@ def test_ilmr_measurement_count_mismatch(p4):
         glm.ilmr(np.zeros(3), p, w, basis, ReconstructionConfig(omega=0.1))
 
 
+def test_ilmr_track_truth_length_check(p4):
+    _, basis = p4
+    p = Partition(sets=((0, 1), (2, 3)))
+    w = glm.make_weights("uniform", p)
+    cfg = ReconstructionConfig(omega=0.1, track_truth=np.zeros(3))
+    with pytest.raises(ValueError, match=r"track_truth must have shape \(4,\)"):
+        glm.ilmr(np.zeros(2), p, w, basis, cfg)
+
+
 def test_ilmr_recovers_bandlimited(grid20, grid20_pairs):
     _, basis = grid20
     partition, metrics = grid20_pairs
@@ -157,6 +166,13 @@ def test_ipr_requires_centers(p4):
     _, basis = p4
     p = Partition(sets=((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="centers"):
+        glm.ipr(np.zeros(2), p, basis, ReconstructionConfig(omega=0.1))
+
+
+def test_ipr_rejects_a_center_outside_its_set(p4):
+    _, basis = p4
+    p = Partition(sets=((0, 1), (2, 3)), centers=(1, 0))
+    with pytest.raises(ValueError, match="set 1: center 0 is not a member"):
         glm.ipr(np.zeros(2), p, basis, ReconstructionConfig(omega=0.1))
 
 
@@ -295,6 +311,18 @@ def test_uniqueness_check():
     assert glm.uniqueness_check(basis, 0.4, w)
     # ...but not a two-dimensional one
     assert not glm.uniqueness_check(basis, 2.1, w)
+
+
+def test_empty_band_contraction_and_uniqueness():
+    # no eigenvalue at or below omega: the band, and with it the sweep's
+    # iteration matrix, has no dimension to contract or determine
+    basis = glm.SpectralBasis(eigenvalues=[1.0, 2.0], eigenvectors=np.eye(2))
+    p = Partition(sets=((0, 1),))
+    w = glm.make_weights("uniform", p)
+    op = glm.BandOperator(basis, 0.5, p)
+    assert op.ub.shape == (2, 0)
+    assert op.contraction(op.gain(w)) == (0.0, 0.0)
+    assert glm.uniqueness_check(basis, 0.5, w)
 
 
 def test_uniqueness_check_desk_scale(grid20, grid20_pairs):

@@ -73,6 +73,16 @@ def test_optimal_dirac_tie_breaks_to_lowest_vertex():
     assert np.array_equal(w.values[0], [0.0, 1.0, 0.0])  # vertex 0 wins
 
 
+@pytest.mark.parametrize("scheme", ["optimal", "optimal_dirac"])
+def test_optimal_weights_reject_members_outside_the_noise_model(scheme):
+    # member -1 would read the last vertex's sigma, member 3 past the end
+    noise = NoiseModel(sigma=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="negative vertex -1"):
+        glm.make_weights(scheme, Partition(sets=((0, -1),)), noise=noise)
+    with pytest.raises(ValueError, match="noise model shorter"):
+        glm.make_weights(scheme, Partition(sets=((0, 3),)), noise=noise)
+
+
 def test_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         glm.make_weights("best", Partition(sets=((0,),)))
@@ -184,6 +194,17 @@ def test_weights_matrix(pair_partition):
         [[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5, 0.0]]
     )
     assert np.array_equal(mat, expected)
+
+
+def test_weights_matrix_rejects_members_outside_it():
+    # member -1 would land in the last column, member 2 past the end
+    w = glm.make_weights("uniform", Partition(sets=((0, -1),)))
+    with pytest.raises(ValueError, match="negative vertex -1"):
+        w.to_matrix(3)
+    w = glm.make_weights("uniform", Partition(sets=((0, 2),)))
+    with pytest.raises(ValueError, match="matrix shorter"):
+        w.to_matrix(2)
+    assert w.to_matrix(3).tolist() == [[0.5, 0.0, 0.5]]
 
 
 def test_measure_uniform_average():
@@ -309,6 +330,17 @@ def test_weights_parse_errors(pair_partition):
         glm.sampling.parse_weights("0 0:1.0\n", pair_partition)
     with pytest.raises(ValueError, match="bad entry"):
         glm.sampling.parse_weights("0 0:x\n1 2:1.0\n", pair_partition)
+
+
+def test_weights_parse_set_index_and_comment_lines(pair_partition):
+    with pytest.raises(ValueError, match=r"line 2: bad set index 'x'"):
+        glm.sampling.parse_weights("0 0:1.0\nx 2:1.0\n", pair_partition)
+    # comment and blank lines are skipped but still counted
+    text = "# weights\n\n  # indented\n0 0:1.0\n1 2:0.5 3:0.5\n"
+    w = glm.sampling.parse_weights(text, pair_partition)
+    assert np.array_equal(w.flat_values(), [1.0, 0.0, 0.5, 0.5])
+    with pytest.raises(ValueError, match="line 5: set index 7 out of range"):
+        glm.sampling.parse_weights(text.replace("1 2:", "7 2:"), pair_partition)
 
 
 # set sizes past 8, where a pairwise sum would reorder the totals

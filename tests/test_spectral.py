@@ -153,6 +153,16 @@ def test_basis_rejects_non_finite_eigenpairs(bad):
             glm.SpectralBasis(eigenvalues=[0.0, 1.0], eigenvectors=vecs)
 
 
+@pytest.mark.parametrize("vals, vecs", [
+    ([0.0, 1.0], np.eye(3)),
+    ([0.0, 1.0], np.ones(4)),
+    ([[0.0, 1.0]], np.eye(2)),
+])
+def test_basis_rejects_mismatched_shapes(vals, vecs):
+    with pytest.raises(ValueError, match=r"eigenvalues must be \(n,\)"):
+        glm.SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
+
+
 def test_gft_roundtrip_and_parseval(grid20):
     _, basis = grid20
     f = np.random.default_rng(0).standard_normal(basis.n)
@@ -255,6 +265,13 @@ def test_random_bandlimited_errors(p4):
         glm.random_bandlimited(basis, 10.0, rng, offband_energy=0.5)
     with pytest.raises(ValueError, match="norm"):
         glm.random_bandlimited(basis, 0.1, rng, norm=-1.0)
+
+
+def test_random_bandlimited_block_rejects_an_empty_band():
+    basis = glm.SpectralBasis(eigenvalues=[1.0, 2.0], eigenvectors=np.eye(2))
+    rngs = [np.random.default_rng(0)]
+    with pytest.raises(ValueError, match="band is empty"):
+        glm.random_bandlimited_block(basis, 0.5, rngs)
 
 
 def test_band_vectors_are_a_view_of_the_spectrum_prefix(grid20):
