@@ -95,9 +95,7 @@ class Graph:
         width = max(n, 1)
         lo, hi = np.divmod(key, width)
         both = np.concatenate([key, hi * n + lo])
-        # the stable kind is the sort _edge_keys runs: one sort kernel fewer
-        # to fault into memory per process
-        rows, nbrs = np.divmod(both[np.argsort(both, kind="stable")], width)
+        rows, nbrs = np.divmod(np.sort(both), width)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return Graph(n_vertices=n, indptr=indptr, indices=nbrs)
@@ -187,18 +185,18 @@ def _edge_keys(
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
     out = lo < 0
     loop = ~out & (lo == hi)
     valid = np.flatnonzero(~out & ~loop)
-    # sorted stably, an edge equal to its predecessor repeats an earlier one
     key = lo[valid] * n + hi[valid]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    sorted_key = np.sort(key)
     repeat = np.zeros(key.size, dtype=bool)
-    repeat[1:] = key[1:] == key[:-1]
+    repeat[1:] = sorted_key[1:] == sorted_key[:-1]
     flagged = out if dedup else out | loop
-    if not dedup:
+    if not dedup and repeat.any():
+        # sorted stably, an edge equal to its predecessor repeats an earlier one
+        order = np.argsort(key, kind="stable")
         flagged[valid[order[repeat]]] = True
     if flagged.any():
         i = int(np.argmax(flagged))
@@ -208,7 +206,7 @@ def _edge_keys(
         if loop[i]:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-    return key[~repeat]
+    return sorted_key[~repeat]
 
 
 def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
@@ -231,24 +229,53 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _int64_pairs(text: str) -> np.ndarray | None:
-    """Every data line as a row of an ``(m, 2)`` int64 array, in one numpy
-    conversion; ``None`` when some data line is not two integers that fit."""
-    # the lines _records keeps, without its list of fields per line, which
-    # would add to the peak on a large file: blank lines split to no fields,
-    # so only comments need dropping; the "#" test spares the strip on
-    # almost every line
-    data = [
-        line for line in text.splitlines()
-        if "#" not in line or not line.lstrip().startswith("#")
-    ]
-    if not set(map(len, map(str.split, data))) <= {0, 2}:
+    """The data lines of :func:`_records` as the rows of an ``(m, 2)`` int64
+    array, from one pass over the text's bytes; ``None`` unless every line
+    break is ``\n`` or ``\r\n``, the only other whitespace is space and tab,
+    and every data line is two tokens ``-?[0-9]{1,18}``."""
+    # str.splitlines also breaks at \v \f \x1c-\x1e, which are control bytes
+    # as checked below, and at these three
+    if not text.isascii() and any(c in text for c in "\x85\u2028\u2029"):
         return None
-    joined = " ".join(data)
-    del data  # the lines go before the tokens arrive: a lower peak
-    try:
-        return np.array(joined.split(), dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
+    raw = text.encode("utf-8", "surrogatepass")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ctrl = np.flatnonzero(b < 32)
+    kind = b[ctrl]
+    if not ((kind == 10) | (kind == 9) | (kind == 13)).all() or (
+        b[np.minimum(ctrl[kind == 13] + 1, len(b) - 1)] != 10
+    ).any():
         return None
+    # token j is b[starts[j]:ends[j]]; line i holds tokens bounds[i]:bounds[i + 1]
+    pad = np.concatenate(([False], b > 32, [False]))
+    edge = np.flatnonzero(pad[1:] != pad[:-1])
+    starts, ends = edge[::2], edge[1::2]
+    m = len(starts)
+    if not m:  # fromstring reads blank text as one 0
+        return np.empty((0, 2), dtype=np.int64)
+    bounds = np.concatenate(([0], np.searchsorted(starts, ctrl[kind == 10]), [m]))
+    count = np.diff(bounds)
+    head = b[starts]
+    comment = (count > 0) & (head[np.minimum(bounds[:-1], m - 1)] == 35)  # "#"
+    data = np.repeat(~comment, count)
+    # a byte neither whitespace nor digit is a comment's or a leading "-"
+    odd = np.flatnonzero(pad[1:-1] & ((b - np.uint8(48)) > 9))
+    tok = np.searchsorted(starts, odd, side="right") - 1
+    sign = (odd == starts[tok]) & (b[odd] == 45) & (ends[tok] - odd > 1)
+    if not (
+        ((count == 2) | (count == 0) | comment).all()
+        and (sign | ~data[tok]).all()
+        and (ends - starts - (head == 45) <= 18)[data].all()
+    ):
+        return None
+    if comment.any():
+        # cut each comment line from its first token to the next line's, so
+        # that text of comments alone becomes empty, not blank
+        at = np.flatnonzero(comment)
+        cut = np.append(starts, len(b))
+        lo = [starts[0], *cut[bounds[at + 1]].tolist()]
+        hi = [*cut[bounds[at]].tolist(), len(b)]
+        raw = b"".join(raw[a:z] for a, z in zip(lo, hi))
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _leading_int_rows(rows: list[list[str]]) -> np.ndarray:
@@ -296,7 +323,7 @@ def parse_edge_list(
     start = 1 if header and len(values) else 0
     if start and (values[0] < 0).any():
         raise EdgeListError("negative count in N M header", line_no(0))
-    below = np.flatnonzero((values[start:] < index_base).any(axis=1))
+    below = np.flatnonzero(np.minimum(*values[start:].T) < index_base)
     if below.size:
         row = start + int(below[0])
         a, b = values[row]

@@ -70,10 +70,7 @@ class Partition:
     def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.array([len(s) for s in self.sets], dtype=np.intp)
         try:
-            verts = np.fromiter(
-                (v for s in self.sets for v in s), dtype=np.intp,
-                count=int(sizes.sum()),
-            )
+            verts = np.array(list(chain.from_iterable(self.sets)), dtype=np.intp)
         except OverflowError:
             info = np.iinfo(np.intp)
             big = next(v for s in self.sets for v in s
@@ -111,6 +108,8 @@ class Partition:
     def gather(self, values: np.ndarray, what: str) -> np.ndarray:
         """``values[v]`` for every member ``v``, in :meth:`member_arrays`
         order, once :meth:`check_range` has passed for ``len(values)``."""
+        if np.ndim(values) == 0:
+            raise ValueError(f"{what} must have a vertex axis, got shape ()")
         self.check_range(len(values), what)
         return values[self._flat[0]]
 
@@ -251,20 +250,21 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
     """Violations of :func:`validate_partition` plus the reach they came from."""
     n, n_sets = graph.n_vertices, partition.n_sets
-    # from the tuples, not member_arrays(): a member no int64 holds is a
-    # violation to report, not an error
-    sizes = np.fromiter(map(len, partition.sets), dtype=np.intp, count=n_sets)
-    verts = _vertex_ids(list(chain.from_iterable(partition.sets)), n)
-    ids = np.repeat(np.arange(n_sets), sizes)
+    try:
+        members, ids = partition.member_arrays()
+        sizes = partition.sizes()
+    except ValueError:  # a member no int64 holds: a violation to report
+        sizes = np.fromiter(map(len, partition.sets), dtype=np.intp, count=n_sets)
+        members = list(chain.from_iterable(partition.sets))
+        ids = np.repeat(np.arange(n_sets), sizes)
+    verts = _vertex_ids(members, n)
     in_range = verts >= 0
     # sets holding an out-of-range vertex are reported from their own tuples
     # (the vertex as given) and not searched
     bad = np.zeros(n_sets, dtype=bool)
     bad[ids[~in_range]] = True
-    # the distinct in-range (set, vertex) pairs, sorted by set and then
-    # vertex; the stable argsort is the kernel Graph.from_edges already ran
-    key = ids[in_range] * n + verts[in_range]
-    key = key[np.argsort(key, kind="stable")]
+    # the distinct in-range (set, vertex) pairs, sorted by set and then vertex
+    key = np.sort(ids[in_range] * n + verts[in_range])
     distinct = np.ones(len(key), dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
     s, v = np.divmod(key[distinct], max(n, 1))

@@ -329,17 +329,27 @@ def test_graph_stores_only_csr_arrays():
 _token = st.one_of(
     st.integers(min_value=-2, max_value=8).map(str),
     st.sampled_from(["+3", "007", "1_0", "٣", "a", "1.5", "0x1", "-0",
-                     "#", "#5", str(10**20)]),
+                     "#", "#5", str(10**20), "-", "--1", "1-2", "1-",
+                     # 19 digits, and a sign with 18
+                     "0000000000000000007", "-000000000000000001"]),
 )
 _space = st.sampled_from([" ", "  ", "\t", " \t", "\u3000"])  # \u3000 is whitespace too
+# line breaks of str.splitlines other than \n and \r\n
+_break = st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 
 
 @st.composite
 def _edge_list_text(draw):
     lines = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        kind = draw(st.sampled_from(["pair"] * 6 + ["fields", "comment", "blank"]))
-        if kind == "comment":
+        kind = draw(st.sampled_from(
+            ["pair"] * 6 + ["fields", "comment", "blank", "broken"]))
+        if kind == "broken":
+            # a break inside a comment or a data line
+            a, b, br = draw(_token), draw(_token), draw(_break)
+            lines.append(draw(st.sampled_from(
+                [f"# {a}{br}{b}", f"#{br}{a} {b}", f"{a}{br}{b}", f"{a} {b}{br}"])))
+        elif kind == "comment":
             lines.append(draw(st.sampled_from(["#", "# note", "  # 1 2", "#0 1"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
@@ -388,6 +398,26 @@ def test_parse_edge_list_matches_loop(text, index_base, dedup, header):
     ("3 1\n0 99999999999999999999\n", {"header": True}),
     ("0 1\n1 1\n1 0\n", {"dedup": True}),
     ("0 1\n1 2 # trailing comment\n", {}),
+    # tokens the byte reader leaves to the line-by-line read
+    ("- 1\n", {}),
+    ("--1 2\n", {}),
+    ("1-2 3\n", {}),
+    ("0 1-\n", {}),
+    ("0000000000000000007 1\n", {}),
+    ("3 1\n0 9999999999999999999\n", {"header": True}),  # 19 digits, beyond int64
+    # line breaks other than \n and \r\n, in data lines and in comments
+    ("0\r1\n", {}),
+    ("# c\r0 1\n", {}),
+    ("0\x0b1\n", {}),
+    ("# c\x0b0 1\n1 2\n", {}),
+    ("0\x0c1\n", {}),
+    ("# c\x0c0 1\n", {}),
+    ("0\x1c1\n", {}),
+    ("# a\x1c1 2\n", {}),
+    ("0\x851 2\n", {}),
+    ("# a\x851 2 3\n0 1\n", {}),
+    ("0\u20281 2\n", {}),
+    ("# note\u20281 2\n0 1\n", {}),
 ])
 def test_parse_edge_list_examples_match_loop(text, kwargs):
     new = _outcome(glm.parse_edge_list, text, **kwargs)
@@ -402,7 +432,13 @@ def test_valid_edge_lists_convert_without_a_line_loop(monkeypatch):
         raise AssertionError("valid input read line by line")
 
     monkeypatch.setattr(glm.graph, "_leading_int_rows", line_loop)
-    texts = ["0 1\n1 2\n", "# c\n0 1\n\n  # 3 4\n1 2\n", "0 1\r\n\t1  2\r\n", ""]
+    texts = ["0 1\n1 2\n", "# c\n0 1\n\n  # 3 4\n1 2\n", "0 1\r\n\t1  2\r\n", "",
+             # the header scripts/fetch_minnesota.py writes
+             "# minnesota road network, largest connected component (0-based)\n"
+             "0 1\n1 2\n",
+             "0 1\n1 2",  # no final newline
+             "-000000000000000000 1\n1 2\n",  # a sign and 18 digits
+             "# \u00e9t\u00e9\n0 1\n1 2\n"]  # non-ASCII text in a comment
     for text in texts:
         assert glm.parse_edge_list(text).edges == ((0, 1), (1, 2))[: 2 * bool(text)]
     assert glm.parse_edge_list("3 1\n# c\n1 3\n", index_base=1, header=True).edges == (

@@ -125,6 +125,8 @@ def test_partition_gather_checks_the_range():
         p.gather(values[:3], "signal")
     with pytest.raises(ValueError, match="negative vertex -1"):
         Partition(sets=((0, -1),)).gather(values, "signal")
+    with pytest.raises(ValueError, match=r"^noise model must have a vertex axis"):
+        p.gather(np.float64(1.0), "noise model")
 
 
 def test_metrics_p4_pairs():

@@ -44,6 +44,15 @@ def test_band_operator_rejects_foreign_weights(p4):
         glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
 
 
+def test_band_operator_readout_rejects_0d_signal(p4):
+    _, basis = p4
+    p = Partition(sets=((0, 1), (2, 3)))
+    op = glm.BandOperator(basis, 0.1, p)
+    w = glm.make_weights("uniform", p)
+    with pytest.raises(ValueError, match=r"^signal must have a vertex axis"):
+        op.readout(w, np.float64(1.0))
+
+
 def test_ilmr_exact_on_constant():
     basis = _basis(glm.path_graph(2))
     p = Partition(sets=((0, 1),))

@@ -229,6 +229,13 @@ def test_measure_rejects_short_signal(pair_partition):
         glm.measure(np.zeros(3), w)
 
 
+def test_measure_rejects_0d_signal(pair_partition):
+    w = glm.make_weights("uniform", pair_partition)
+    for signal in (np.float64(1.0), np.array(1.0)):
+        with pytest.raises(ValueError, match=r"^signal must have a vertex axis"):
+            glm.measure(signal, w)
+
+
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_measure_dirac_is_exact_decimation(seed):
