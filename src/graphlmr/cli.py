@@ -17,9 +17,13 @@ from .experiments import (
 )
 from .graph import build_laplacian, load_edge_list
 from .localsets import greedy_partition, partition_metrics, write_partition
-from .spectral import eigendecompose
+from .spectral import _Owned, eigendecompose
 
 OUT_DIR_ENV = "GRAPHLMR_OUT_DIR"
+
+# Steady-state errors below this print as "< 1e-12": at the rounding floor
+# their digits change with summation order alone.
+_PRINT_FLOOR = 1e-12
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
@@ -100,10 +104,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     for scheme in report.schemes:
         print(f"  {scheme}: steady-state relative error "
-              f"{report.steady_state_mean[scheme]:.6g} "
-              f"(std {report.steady_state_std[scheme]:.6g})")
+              f"{_floored(report.steady_state_mean[scheme])} "
+              f"(std {_floored(report.steady_state_std[scheme])})")
     print(f"wrote {csv_path} and {meta_path}")
     return 0
+
+
+def _floored(value: float) -> str:
+    """``value`` with 6 significant digits, or ``< 1e-12`` below the floor."""
+    return f"< {_PRINT_FLOOR:g}" if value < _PRINT_FLOOR else f"{value:.6g}"
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -120,7 +129,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    basis = eigendecompose(build_laplacian(graph))
+    basis = eigendecompose(_Owned(build_laplacian(graph)))
     lam2 = repr(float(basis.eigenvalues[1])) if graph.n_vertices > 1 else "n/a"
     lam_n = repr(float(basis.eigenvalues[-1])) if graph.n_vertices else "n/a"
     print(f"vertices: {graph.n_vertices}")

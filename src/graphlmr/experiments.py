@@ -25,7 +25,7 @@ from .graph import Graph, build_laplacian, load_edge_list
 from .localsets import Partition, greedy_partition, partition_metrics, suggest_nmax
 from .reconstruction import BandOperator
 from .sampling import WEIGHT_SCHEMES, NoiseModel, draw_weights, make_weights
-from .spectral import SpectralBasis, eigendecompose, random_bandlimited_block
+from .spectral import SpectralBasis, _Owned, eigendecompose, random_bandlimited_block
 
 __all__ = [
     "ConfigError",
@@ -341,6 +341,109 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+class _PoolState:
+    """A SeedSequence's ``generate_state(4, np.uint64)``, computed beforehand:
+    the four words PCG64 seeds itself from.  :func:`_trial_rngs` registers it
+    as an ``ISeedSequence``, so importing the package does not load
+    ``numpy.random``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only generate_state(4, np.uint64)")
+        return self.state
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants: ``init`` times ``mult**i`` modulo 2**32
+    for i in 0..count.  Each hash advances them by one, whatever the data."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix along the last axis of uint32 ``values``: entry
+    i is xored with ``consts[i]`` and multiplied by ``consts[i + 1]``."""
+    out = (values ^ consts[:-1]) * consts[1:]
+    return out ^ out >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ out >> _XSHIFT
+
+
+def _key_words(*key: int) -> list[int]:
+    """SeedSequence's entropy of a key: each int as its little-endian uint32
+    words, at least one."""
+    if min(key, default=0) < 0:
+        raise ValueError("seed keys must be nonnegative")
+    return [v >> s & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _pool_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` per row of ``words``.
+
+    SeedSequence hashes each entropy word into the pool, then hashes every
+    pool word into every other one, then any entropy beyond the pool into
+    all pool words, one hash constant after another; hashes into different
+    pool words are independent, so each step runs on all of them at once.
+    """
+    rows, width = words.shape
+    # entropy shorter than the pool hashes zeros in its place
+    entropy = np.zeros((rows, max(width, _POOL_SIZE)), dtype=np.uint32)
+    entropy[:, :width] = words
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * entropy.shape[1])
+    pool = _hash(entropy[:, :_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hash(pool[:, src, None], consts[at:at + len(dst) + 1])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        at += len(dst)
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        pool = _mix(pool, _hash(entropy[:, src, None], consts[at:at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    # eight uint32 words cycling over the pool, read as little-endian pairs
+    cycle = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+    state = _hash(pool[:, cycle], _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_rngs(
+    seed: int, stream: int, trials: range, *tail: int
+) -> list[np.random.Generator]:
+    """``_rng(seed, stream, t, *tail)`` for every t of ``trials`` (step 1).
+
+    The keys are hashed as one block: SeedSequence's pool mix and
+    ``generate_state`` run once over a (trials, words) uint32 matrix, and
+    each generator is built from its four precomputed words.
+    """
+    if trials.start < 0 or trials.stop > 1 << 32:  # t is one entropy word
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    np.random.bit_generator.ISeedSequence.register(_PoolState)
+    head, rest = _key_words(seed, stream), _key_words(*tail)
+    words = np.empty((len(trials), len(head) + 1 + len(rest)), dtype=np.uint32)
+    words[:] = head + [0] + rest
+    words[:, len(head)] = trials
+    return [np.random.Generator(np.random.PCG64(_PoolState(s)))
+            for s in _pool_states(words)]
+
+
 def _build_graph(cfg: ExperimentConfig) -> Graph:
     g = cfg.graph
     if g.kind == "path":
@@ -401,8 +504,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     finish("graph")
     laplacian = build_laplacian(graph)
     finish("laplacian")
-    basis = eigendecompose(laplacian)
-    del laplacian  # n^2 floats, not needed by the trials
+    # handed over: the solver may overwrite it, and the trials never read it
+    basis = eigendecompose(_Owned(laplacian))
+    del laplacian
     finish("eigendecompose")
     omega = _resolve_omega(cfg, basis)
     n_max = cfg.n_max if cfg.n_max is not None else suggest_nmax(omega)
@@ -417,12 +521,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # the draws run per trial
     offband = cfg.offband_energy if cfg.offband_energy > 0 else None
     truth = random_bandlimited_block(
-        basis, omega, [_rng(cfg.seed, _STREAM_SIGNAL, t) for t in range(cfg.trials)],
-        offband,
+        basis, omega, _trial_rngs(cfg.seed, _STREAM_SIGNAL, range(cfg.trials)), offband
     )
     noisy = np.empty((cfg.trials, graph.n_vertices))  # row t: trial t's noise
-    for t, row in enumerate(noisy):
-        _rng(cfg.seed, _STREAM_NOISE, t).standard_normal(out=row)
+    for rng, row in zip(_trial_rngs(cfg.seed, _STREAM_NOISE, range(cfg.trials)), noisy):
+        rng.standard_normal(out=row)
     noisy *= model.sigma
     noisy += truth.T
     observed = noisy.T  # truth plus noise, one column per trial
@@ -430,21 +533,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     finish("draws")
 
     op = BandOperator(basis, omega, partition)
-    curves, contraction, radius = {}, {}, {}
+    gains, readouts = [], []
     for j, scheme in enumerate(cfg.schemes):
         if scheme in ("random", "dirac"):  # redrawn per trial: one M per column
-            weights = draw_weights(scheme, partition, [
-                _rng(cfg.seed, _STREAM_WEIGHTS, t, j) for t in range(cfg.trials)
-            ])
+            weights = draw_weights(scheme, partition, _trial_rngs(
+                cfg.seed, _STREAM_WEIGHTS, range(cfg.trials), j))
         else:
             weights = make_weights(scheme, partition, noise=model)
-        gain = op.gain(weights)
-        contraction[scheme], radius[scheme] = op.contraction(gain)
-        r = op.readout(weights, observed)
-        finish("weights")
+        gains.append(op.gain(weights))
+        readouts.append(op.readout(weights, observed))
+    factors = dict(zip(cfg.schemes, op.contractions(gains)))
+    finish("weights")
+    curves = {}
+    for scheme, gain, r in zip(cfg.schemes, gains, readouts):
         errors = op.iterate(gain, r, cfg.max_iterations, truth=truth).errors
         curves[scheme] = errors.T / truth_norm[:, None]
-        finish("sweeps")
+    finish("sweeps")
 
     return ExperimentReport(
         config=cfg,
@@ -460,8 +564,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         steady_state_mean={s: float(curves[s][:, -1].mean()) for s in cfg.schemes},
         steady_state_std={s: float(curves[s][:, -1].std()) for s in cfg.schemes},
         steady_errors={s: curves[s][:, -1].copy() for s in cfg.schemes},
-        contraction=contraction,
-        spectral_radius=radius,
+        contraction={s: factors[s][0] for s in cfg.schemes},
+        spectral_radius={s: factors[s][1] for s in cfg.schemes},
         timings=timings,
     )
 

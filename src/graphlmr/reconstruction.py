@@ -174,12 +174,23 @@ class BandOperator:
         The norm bounds the error decay of every sweep; the radius is its
         asymptotic rate, and the iteration diverges when it is >= 1.
         """
-        it = np.eye(gain.shape[-1]) - gain
-        if it.size == 0:
-            return 0.0, 0.0
-        norm = np.linalg.svd(it, compute_uv=False)[..., 0]  # descending
+        return BandOperator.contractions([gain])[0]
+
+    @staticmethod
+    def contractions(gains: Sequence[np.ndarray]) -> list[tuple[float, float]]:
+        """:meth:`contraction` of each (k, k) or (T, k, k) gain, from one svd
+        and one eigvals call over all of them stacked (LAPACK still runs per
+        matrix, so each result is what its own call gives)."""
+        k = gains[0].shape[-1]
+        if k == 0:
+            return [(0.0, 0.0)] * len(gains)
+        blocks = [g.reshape(-1, k, k) for g in gains]
+        it = np.eye(k) - np.concatenate(blocks)
+        norm = np.linalg.svd(it, compute_uv=False)[:, 0]  # descending
         radius = np.abs(np.linalg.eigvals(it)).max(axis=-1)
-        return float(np.max(norm)), float(np.max(radius))
+        ends = np.cumsum([len(b) for b in blocks]).tolist()
+        return [(float(norm[a:b].max()), float(radius[a:b].max()))
+                for a, b in zip([0] + ends, ends)]
 
     def iterate(
         self, gain: np.ndarray, r: np.ndarray, sweeps: int,

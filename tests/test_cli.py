@@ -3,7 +3,7 @@ import json
 import pytest
 
 import graphlmr as glm
-from graphlmr.cli import main
+from graphlmr.cli import _floored, main
 
 CONFIG = """
 name = cli-check
@@ -143,3 +143,20 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "graph must be one of" in err
+
+
+@pytest.mark.parametrize("value, text", [
+    (2.01824e-15, "< 1e-12"), (0.0, "< 1e-12"), (9.99e-13, "< 1e-12"),
+    (1e-12, "1e-12"), (3.66e-3, "0.00366"), (1.234567891e-5, "1.23457e-05"),
+])
+def test_steady_state_errors_print_with_a_floor(value, text):
+    assert _floored(value) == text
+
+
+def test_noise_free_run_prints_the_floor(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("max_iterations = 20", "max_iterations = 200"),
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert "uniform: steady-state relative error < 1e-12 (std < 1e-12)" in stdout

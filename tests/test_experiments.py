@@ -1,20 +1,26 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphlmr as glm
-from graphlmr import ConfigError
+from graphlmr import ConfigError, spectral
 from graphlmr.experiments import (
     _KEYS,
     _build_noise_model,
     _resolve_omega,
     _rng,
+    _trial_rngs,
     format_report_csv,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 GRID_CFG = """
 # noise-free convergence on a small grid
@@ -401,6 +407,28 @@ def test_rng_rejects_negative_keys():
         _rng(1, -2)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**40 + 5, 2**70])
+@pytest.mark.parametrize("trials, tail", [
+    (range(7), ()), (range(7), (3,)), (range(3), (2**33,)),
+    (range(2**32 - 3, 2**32), (1,)),  # the largest trial indices
+])
+def test_trial_rngs_seed_what_one_rng_per_key_seeds(seed, trials, tail):
+    rngs = _trial_rngs(seed, 104, trials, *tail)
+    assert len(rngs) == len(trials)
+    for t, got in zip(trials, rngs):
+        want = _rng(seed, 104, t, *tail)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+
+
+def test_trial_rngs_reject_negative_keys_and_too_many_trials():
+    with pytest.raises(ValueError):
+        _trial_rngs(1, 104, range(2), -1)
+    for trials in (range(-1, 2), range(2**32 + 1)):
+        with pytest.raises(ValueError, match="trial indices"):
+            _trial_rngs(1, 104, trials)
+
+
 def test_report_times_every_stage():
     report = glm.run_experiment(glm.parse_config(GRID_CFG))
     assert list(report.timings) == ["graph", "laplacian", "eigendecompose",
@@ -441,3 +469,40 @@ def test_bootstrap_gap_quantile():
     assert glm.bootstrap_gap_quantile(small, small) <= 0.0
     with pytest.raises(ValueError):
         glm.bootstrap_gap_quantile(small, large[:10])
+
+
+def test_desk_scale_run_never_imports_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from graphlmr.cli import main\n"
+        f"code = main(['run', '--config', {str(REPO / 'configs' / 'rgg_snr30.cfg')!r},"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(glm.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_run_without_scipy_gives_the_in_place_report(monkeypatch):
+    pytest.importorskip("scipy.linalg")
+    cfg = glm.parse_config(GRID_CFG.replace("graph.rows = 10", "graph.rows = 40")
+                           .replace("graph.cols = 10", "graph.cols = 40"))
+    assert 40 * 40 >= spectral._IN_PLACE_MIN_N
+    solved, real = [], spectral._eigh_in_place
+
+    def solver(lap):
+        solved.append(real(lap))
+        return solved[-1]
+
+    monkeypatch.setattr(spectral, "_eigh_in_place", solver)
+    with_scipy = glm.run_experiment(cfg)
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    without = glm.run_experiment(cfg)
+    assert [s is None for s in solved] == [False, True]  # in place, then eigh
+    assert format_report_csv(without) == format_report_csv(with_scipy)
+    assert without.contraction == with_scipy.contraction
+    assert without.spectral_radius == with_scipy.spectral_radius

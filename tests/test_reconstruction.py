@@ -339,3 +339,21 @@ def test_uniqueness_check_desk_scale(grid20, grid20_pairs):
     partition, _ = grid20_pairs
     w = glm.make_weights("uniform", partition)
     assert glm.uniqueness_check(basis, 0.03, w)
+
+
+def test_contractions_stack_every_gain_bit_for_bit(rgg300, rgg300_sets3):
+    _, basis = rgg300
+    partition, _, omega, _ = rgg300_sets3
+    op = glm.BandOperator(basis, omega, partition)
+    rngs = [np.random.default_rng(t) for t in range(5)]
+    gains = [op.gain(glm.make_weights("uniform", partition)),
+             op.gain(glm.draw_weights("random", partition, rngs)),
+             op.gain(glm.draw_weights("dirac", partition, rngs[:2]))]
+    eye = np.eye(gains[0].shape[-1])
+    # the oracle: one LAPACK call per matrix
+    want = [(max(np.linalg.norm(eye - m, 2) for m in g.reshape(-1, *eye.shape)),
+             max(np.abs(np.linalg.eigvals(eye - m)).max()
+                 for m in g.reshape(-1, *eye.shape)))
+            for g in gains]
+    assert op.contractions(gains) == want
+    assert op.contraction(gains[1]) == want[1]

@@ -335,3 +335,31 @@ def test_random_bandlimited_block_retries_zero_draws(p4):
     assert np.allclose(block, np.tile(want[:, None], 3), rtol=0.0, atol=1e-15)
     with pytest.raises(RuntimeError, match="zero vector"):
         glm.random_bandlimited_block(basis, 10.0, [Zeros(16)])
+
+
+@pytest.mark.parametrize("setup", ["grid20", "rgg300"])
+def test_in_place_solver_matches_eigh(setup, request):
+    pytest.importorskip("scipy.linalg")
+    graph, _ = request.getfixturevalue(setup)
+    lap = glm.build_laplacian(graph)
+    want_vals, want_vecs = np.linalg.eigh(lap)
+    vals, vecs = spectral._eigh_in_place(lap)
+    assert np.shares_memory(vecs, lap)  # solved in the Laplacian's buffer
+    np.testing.assert_allclose(vals, want_vals, rtol=0.0, atol=1e-12)
+    # no flipped signs, no other basis of a degenerate eigenspace
+    assert np.einsum("ij,ij->j", vecs, want_vecs).min() >= 1.0 - 1e-12
+
+
+def test_owned_laplacian_gives_the_public_basis():
+    lap = glm.build_laplacian(glm.grid_graph(40, 40))
+    assert lap.shape[0] >= spectral._IN_PLACE_MIN_N
+    kept = lap.copy()
+    public = glm.eigendecompose(lap)
+    assert np.array_equal(lap, kept)  # the caller's array is never written
+    owned = glm.eigendecompose(spectral._Owned(lap))
+    assert owned.eigenvectors.flags.c_contiguous
+    assert not owned.eigenvectors.flags.writeable
+    np.testing.assert_allclose(owned.eigenvalues, public.eigenvalues,
+                               rtol=0.0, atol=1e-12)
+    assert np.einsum("ij,ij->j", owned.eigenvectors,
+                     public.eigenvectors).min() >= 1.0 - 1e-12
