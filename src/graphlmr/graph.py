@@ -23,7 +23,6 @@ __all__ = [
     "load_edge_list",
     "parse_edge_list",
     "build_laplacian",
-    "bfs_distance",
     "induced_subgraph",
     "is_connected",
 ]
@@ -396,15 +395,6 @@ def _hop_distances(graph: Graph, source: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
-
-
-def bfs_distance(graph: Graph, source: int, target: int) -> int | None:
-    """Hop distance between two vertices, or ``None`` if unreachable."""
-    n = graph.n_vertices
-    if not (0 <= source < n and 0 <= target < n):
-        raise ValueError(f"vertex out of range for {n} vertices")
-    dist = _hop_distances(graph, source)[target]
-    return dist if dist >= 0 else None
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -129,7 +130,7 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
     deterministic.  Seeds come from a heap, so the whole run costs
     O((N + E) log N).
     """
-    if n_max < 1:
+    if operator.index(n_max) < 1:
         raise ValueError("n_max must be at least 1")
     n = graph.n_vertices
     ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
@@ -379,7 +380,7 @@ def suggest_nmax(omega: float) -> int:
     Balances the sqrt(|N| D) score against the band so the contraction factor
     stays near 1/2; never suggests less than 1.  Requires ``omega > 0``.
     """
-    if omega <= 0:
+    if not omega > 0:  # NaN fails too
         raise ValueError("omega must be positive")
     return max(1, math.floor(1.0 / (2.0 * math.sqrt(omega)) + 0.5))
 

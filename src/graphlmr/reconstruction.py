@@ -21,6 +21,7 @@ the same loop with dirac weight vectors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,19 +29,17 @@ import numpy as np
 
 from .graph import Graph
 from .localsets import Partition, partition_metrics
-from .sampling import LocalWeights, make_weights, measure
+from .sampling import LocalWeights, make_weights
 from .spectral import SpectralBasis, _check_length
 
 __all__ = [
     "BandOperator",
     "ReconstructionConfig",
     "ReconstructionRun",
-    "apply_G",
     "ilmr",
     "ilsr",
     "ipr",
     "contraction_ratio",
-    "uniqueness_check",
 ]
 
 _TINY = 1e-300  # guards the relative-increment test when the iterate is zero
@@ -62,11 +61,12 @@ class ReconstructionConfig:
     track_truth: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.omega < 0:
+        # "not x >= 0" so that NaN fails too
+        if not self.omega >= 0:
             raise ValueError("omega must be nonnegative")
-        if self.max_iterations < 0:
+        if operator.index(self.max_iterations) < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.stop_tolerance < 0:
+        if not self.stop_tolerance >= 0:
             raise ValueError("stop_tolerance must be nonnegative")
 
 
@@ -235,19 +235,6 @@ class BandOperator:
         return Sweeps(c, increments, errors, stop_reason)
 
 
-def apply_G(
-    basis: SpectralBasis,
-    omega: float,
-    partition: Partition,
-    weights: LocalWeights,
-    signal: np.ndarray,
-) -> np.ndarray:
-    """One application of the interpolation operator G (measure, spread, project)."""
-    f = _check_length(signal, basis.n, "signal")
-    op = BandOperator(basis, omega, partition)
-    return op.ub @ (op.bt @ measure(f, weights))
-
-
 def ilmr(
     measurements: np.ndarray,
     partition: Partition,
@@ -353,25 +340,3 @@ def contraction_ratio(
     metrics = partition_metrics(graph, partition)
     op = BandOperator(basis, omega, partition)
     return metrics.c_max * math.sqrt(omega), op.contraction(op.gain(weights))[0]
-
-
-def uniqueness_check(
-    basis: SpectralBasis, omega: float, weights: LocalWeights
-) -> bool:
-    """Whether the measurement map determines bandlimited signals uniquely.
-
-    f -> (<f, phi_i>)_i restricted to the band is the matrix Phi U_band; the
-    map is injective iff that matrix has full column rank (numerical rank via
-    SVD with tolerance K * eps * s_max).
-    """
-    op = BandOperator(basis, omega, weights.partition)
-    k = op.ub.shape[1]
-    if k == 0:
-        return True  # the zero space is trivially determined
-    mat = op.measurement_matrix(weights)
-    if mat.shape[0] < k:
-        return False
-    s = np.linalg.svd(mat, compute_uv=False)
-    tol = k * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int((s > tol).sum())
-    return rank == k

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import _records
 from .localsets import Partition
 
 __all__ = [
@@ -28,10 +26,6 @@ __all__ = [
     "draw_weights",
     "measure",
     "equivalent_noise_sigma",
-    "format_weights",
-    "parse_weights",
-    "write_weights",
-    "read_weights",
 ]
 
 WEIGHT_SCHEMES = ("uniform", "random", "dirac", "optimal", "optimal_dirac")
@@ -258,58 +252,3 @@ def equivalent_noise_sigma(
         partition.set_starts(),
     )
     return EquivalentNoise(sigma=sig, expected_abs=sig * math.sqrt(2.0 / math.pi))
-
-
-def format_weights(weights: LocalWeights) -> str:
-    """Serialize: ``<set index> v1:w1 v2:w2 ...`` per line, zero entries kept."""
-    flat = iter(weights.flat_values().tolist())
-    return "\n".join(
-        f"{i} " + " ".join(f"{v}:{next(flat)!r}" for v in s)
-        for i, s in enumerate(weights.partition.sets)
-    ) + "\n"
-
-
-def parse_weights(text: str, partition: Partition) -> LocalWeights:
-    """Inverse of :func:`format_weights` against a known partition.
-
-    Entries may come in any order and omit zero weights; vertices outside the
-    named set are rejected.  Missing set lines are rejected too.
-    """
-    per_set: dict[int, dict[int, float]] = {}
-    for line_no, fields in _records(text):
-        try:
-            idx = int(fields[0])
-        except ValueError:
-            raise ValueError(f"line {line_no}: bad set index {fields[0]!r}") from None
-        if not 0 <= idx < partition.n_sets:
-            raise ValueError(f"line {line_no}: set index {idx} out of range")
-        if idx in per_set:
-            raise ValueError(f"line {line_no}: duplicate set index {idx}")
-        entries: dict[int, float] = {}
-        for tok in fields[1:]:
-            v_str, _, w_str = tok.partition(":")
-            try:
-                v, w = int(v_str), float(w_str)
-            except ValueError:
-                raise ValueError(f"line {line_no}: bad entry {tok!r}") from None
-            if v not in partition.sets[idx]:
-                raise ValueError(
-                    f"line {line_no}: vertex {v} is not in set {idx}"
-                )
-            if v in entries:
-                raise ValueError(f"line {line_no}: duplicate vertex {v}")
-            entries[v] = w
-        per_set[idx] = entries
-    missing = [i for i in range(partition.n_sets) if i not in per_set]
-    if missing:
-        raise ValueError(f"no weights given for sets {missing}")
-    flat = [per_set[i].get(v, 0.0) for i, s in enumerate(partition.sets) for v in s]
-    return LocalWeights.from_flat(partition, flat)
-
-
-def write_weights(weights: LocalWeights, path: str | Path) -> None:
-    Path(path).write_text(format_weights(weights), encoding="utf-8")
-
-
-def read_weights(path: str | Path, partition: Partition) -> LocalWeights:
-    return parse_weights(Path(path).read_text(encoding="utf-8"), partition)

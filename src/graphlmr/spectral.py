@@ -12,8 +12,6 @@ __all__ = [
     "SpectralBasis",
     "eigendecompose",
     "gft",
-    "igft",
-    "project_bandlimited",
     "random_bandlimited",
     "random_bandlimited_block",
 ]
@@ -90,7 +88,7 @@ class SpectralBasis:
         The comparison is inclusive with slack ``1e-9 * lambda_max`` so a
         cutoff placed exactly on an eigenvalue keeps it.
         """
-        if omega < 0:
+        if not omega >= 0:  # NaN fails too
             raise ValueError("band cutoff must be nonnegative")
         lam_max = float(self.eigenvalues[-1]) if self.n else 0.0
         eps = _CUTOFF_RTOL * lam_max if lam_max > 0 else 0.0
@@ -187,21 +185,6 @@ def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
     return basis.eigenvectors.T @ f
 
 
-def igft(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform; exact round-trip with :func:`gft` up to float error."""
-    s = _check_length(spectrum, basis.n, "spectrum")
-    return basis.eigenvectors @ s
-
-
-def project_bandlimited(
-    basis: SpectralBasis, omega: float, signal: np.ndarray
-) -> np.ndarray:
-    """Orthogonal projection onto the span of eigenvectors with eigenvalue <= omega."""
-    f = _check_length(signal, basis.n, "signal")
-    ub = basis.band_vectors(omega)
-    return ub @ (ub.T @ f)
-
-
 def random_bandlimited(
     basis: SpectralBasis,
     omega: float,
@@ -217,7 +200,7 @@ def random_bandlimited(
     so ``||f||^2 = norm^2`` still holds exactly; ``e = 0`` or ``None`` means
     strictly bandlimited.
     """
-    if norm < 0:
+    if not norm >= 0:  # NaN fails too
         raise ValueError("norm must be nonnegative")
     return norm * random_bandlimited_block(basis, omega, [rng], offband_energy)[:, 0]
 

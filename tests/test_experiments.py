@@ -461,6 +461,16 @@ def test_readme_config_table_matches_parser():
         assert "unknown key" not in str(info.value), key
 
 
+def test_readme_quick_start_prints_what_it_shows():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    code, printed = re.findall(r"```(?:python)?\n(.*?)```", section, re.S)
+    env = {**os.environ, "PYTHONPATH": str(Path(glm.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == printed
+
+
 def test_bootstrap_gap_quantile():
     rng = np.random.default_rng(0)
     small = rng.normal(1.0, 0.1, size=200)

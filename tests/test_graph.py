@@ -118,14 +118,10 @@ def test_file_formats_share_the_line_rule():
     assert glm.parse_edge_list(skipped + "0 1\n") == Graph.from_edges(2, [(0, 1)])
     partition = glm.localsets.parse_partition(skipped + "0 1\n")
     assert partition == glm.Partition(sets=((0, 1),))
-    weights = glm.sampling.parse_weights(skipped + "0 0:1.0\n", partition)
-    assert weights.flat_values().tolist() == [1.0, 0.0]
     with pytest.raises(EdgeListError, match="line 6: expected two integers"):
         glm.parse_edge_list(skipped + "0 1 # note\n")
     with pytest.raises(ValueError, match="line 6: non-integer vertex '#'"):
         glm.localsets.parse_partition(skipped + "0 1 # note\n")
-    with pytest.raises(ValueError, match="line 6: bad entry '#'"):
-        glm.sampling.parse_weights(skipped + "0 0:1.0 # note\n", partition)
 
 
 def test_load_edge_list_roundtrip(tmp_path):
@@ -169,16 +165,6 @@ def test_laplacian_quadratic_form(g, seed):
     quad = float(f @ glm.build_laplacian(g) @ f)
     direct = sum((f[u] - f[v]) ** 2 for u, v in g.edges)
     assert quad == pytest.approx(direct, rel=1e-9, abs=1e-9)
-
-
-def test_bfs_distance():
-    g = glm.path_graph(5)
-    assert glm.bfs_distance(g, 0, 4) == 4
-    assert glm.bfs_distance(g, 2, 2) == 0
-    two = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert glm.bfs_distance(two, 0, 3) is None
-    with pytest.raises(ValueError):
-        glm.bfs_distance(g, 0, 9)
 
 
 def test_induced_subgraph_reindexes():

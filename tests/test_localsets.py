@@ -36,6 +36,9 @@ def test_greedy_extremes():
     assert whole.n_sets == 1 and sorted(whole.sets[0]) == list(range(9))
     with pytest.raises(ValueError):
         glm.greedy_partition(g, 0)
+    # a fractional limit used to admit sets one larger than it
+    with pytest.raises(TypeError):
+        glm.greedy_partition(glm.grid_graph(6, 6), 2.5)
 
 
 def test_greedy_deterministic(grid20):
@@ -188,6 +191,8 @@ def test_suggest_nmax():
         glm.suggest_nmax(0.0)
     with pytest.raises(ValueError):
         glm.suggest_nmax(-1.0)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        glm.suggest_nmax(float("nan"))
 
 
 def test_partition_serialization_roundtrip(tmp_path):

@@ -305,51 +305,6 @@ def test_noise_model_validation():
     assert m.n == 5 and np.allclose(m.sigma, 0.3)
 
 
-def test_weights_serialization_roundtrip(tmp_path, pair_partition):
-    w = glm.make_weights("random", pair_partition, rng=np.random.default_rng(9))
-    text = glm.sampling.format_weights(w)
-    back = glm.sampling.parse_weights(text, pair_partition)
-    for a, b in zip(w.values, back.values):
-        assert np.array_equal(a, b)  # repr round-trips floats exactly
-    path = tmp_path / "w.txt"
-    glm.write_weights(w, path)
-    again = glm.read_weights(path, pair_partition)
-    for a, b in zip(w.values, again.values):
-        assert np.array_equal(a, b)
-
-
-def test_weights_parse_sparse_entries(pair_partition):
-    # omitted vertices default to weight zero
-    w = glm.sampling.parse_weights("0 1:1.0\n1 2:0.5 3:0.5\n", pair_partition)
-    assert np.array_equal(w.values[0], [0.0, 1.0])
-
-
-def test_weights_parse_errors(pair_partition):
-    with pytest.raises(ValueError, match="set index"):
-        glm.sampling.parse_weights("7 0:1.0\n", pair_partition)
-    with pytest.raises(ValueError, match="not in set"):
-        glm.sampling.parse_weights("0 2:1.0\n1 2:1.0 3:1.0\n", pair_partition)
-    with pytest.raises(ValueError, match="duplicate set"):
-        glm.sampling.parse_weights("0 0:1.0\n0 1:1.0\n", pair_partition)
-    with pytest.raises(ValueError, match="duplicate vertex"):
-        glm.sampling.parse_weights("0 0:0.5 0:0.5\n1 2:1.0\n", pair_partition)
-    with pytest.raises(ValueError, match="no weights"):
-        glm.sampling.parse_weights("0 0:1.0\n", pair_partition)
-    with pytest.raises(ValueError, match="bad entry"):
-        glm.sampling.parse_weights("0 0:x\n1 2:1.0\n", pair_partition)
-
-
-def test_weights_parse_set_index_and_comment_lines(pair_partition):
-    with pytest.raises(ValueError, match=r"line 2: bad set index 'x'"):
-        glm.sampling.parse_weights("0 0:1.0\nx 2:1.0\n", pair_partition)
-    # comment and blank lines are skipped but still counted
-    text = "# weights\n\n  # indented\n0 0:1.0\n1 2:0.5 3:0.5\n"
-    w = glm.sampling.parse_weights(text, pair_partition)
-    assert np.array_equal(w.flat_values(), [1.0, 0.0, 0.5, 0.5])
-    with pytest.raises(ValueError, match="line 5: set index 7 out of range"):
-        glm.sampling.parse_weights(text.replace("1 2:", "7 2:"), pair_partition)
-
-
 # set sizes past 8, where a pairwise sum would reorder the totals
 BLOCK_PARTITION = Partition(
     sets=(tuple(range(12)), (12,), (13, 14), tuple(range(15, 40))))
