@@ -167,6 +167,14 @@ def test_laplacian_quadratic_form(g, seed):
     assert quad == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
+def test_hop_distances():
+    # the breadth-first search behind is_connected; -1 marks unreachable
+    assert glm.graph._hop_distances(glm.path_graph(5), 2) == [2, 1, 0, 1, 2]
+    two = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert glm.graph._hop_distances(two, 0) == [0, 1, -1, -1]
+    assert glm.graph._hop_distances(glm.grid_graph(3, 3), 0) == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+
+
 def test_induced_subgraph_reindexes():
     g = glm.grid_graph(2, 3)  # vertices 0..5
     sub, connected = glm.induced_subgraph(g, [4, 1, 0])

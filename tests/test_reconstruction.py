@@ -11,6 +11,27 @@ def _basis(graph):
     return glm.eigendecompose(glm.build_laplacian(graph))
 
 
+def test_band_operator_keeps_constants():
+    # on P2 with cutoff below lambda_2 the band holds only constants, and
+    # G f = U_b B^T (measure f) reproduces a constant exactly
+    basis = _basis(glm.path_graph(2))
+    p = Partition(sets=((0, 1),))
+    w = glm.make_weights("uniform", p)
+    op = glm.BandOperator(basis, 0.4, p)
+    f = np.array([3.0, 3.0])
+    assert np.allclose(op.ub @ (op.bt @ glm.measure(f, w)), f, atol=1e-12)
+
+
+def test_ilmr_measurement_shape_check(p4):
+    _, basis = p4
+    p = Partition(sets=((0, 1), (2, 3)))
+    w = glm.make_weights("uniform", p)
+    cfg = ReconstructionConfig(omega=0.1)
+    for bad in (np.zeros(3), np.zeros((2, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="expected 2 measurements, got shape"):
+            glm.ilmr(bad, p, w, basis, cfg)
+
+
 def test_band_operator_rejects_foreign_weights(p4):
     _, basis = p4
     op = glm.BandOperator(basis, 0.1, Partition(sets=((0, 1), (2, 3))))
@@ -300,6 +321,35 @@ def test_members_beyond_int64_are_named(big):
     # validation still reports the member as data
     assert glm.validate_partition(glm.path_graph(3), p)[0] == (
         f"set 0: vertex {big} out of range [0, 3)")
+
+
+def test_one_measurement_determines_a_one_dimensional_band_only():
+    basis = _basis(glm.path_graph(2))
+    p = Partition(sets=((0, 1),))
+    w = glm.make_weights("uniform", p)
+    # one measurement pins down the constants: A = Phi U_b has full column
+    # rank, and the sweep reaches the fixed point in one step
+    op = glm.BandOperator(basis, 0.4, p)
+    assert np.linalg.matrix_rank(op.measurement_matrix(w)) == 1
+    assert op.contraction(op.gain(w)) == pytest.approx((0.0, 0.0), abs=1e-12)
+    # ...but not a two-dimensional band: the unmeasured direction is a fixed
+    # vector of I - M, so the iteration cannot contract it
+    op = glm.BandOperator(basis, 2.1, p)
+    assert op.measurement_matrix(w).shape == (1, 2)
+    norm, radius = op.contraction(op.gain(w))
+    assert norm == pytest.approx(1.0, abs=1e-12)
+    assert radius == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measurement_map_has_full_rank_at_desk_scale(grid20, grid20_pairs):
+    graph, basis = grid20
+    partition, _ = grid20_pairs
+    w = glm.make_weights("uniform", partition)
+    op = glm.BandOperator(basis, 0.03, partition)
+    k = op.ub.shape[1]
+    assert np.linalg.matrix_rank(op.measurement_matrix(w)) == k
+    _, ratio = glm.contraction_ratio(graph, basis, 0.03, partition, w)
+    assert ratio < 1.0
 
 
 def test_empty_band_contraction_and_uniqueness():

@@ -119,6 +119,35 @@ def test_weights_from_flat_matches_per_set(pair_partition):
         LocalWeights.from_flat(pair_partition, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+def test_weights_round_trip_bitwise(pair_partition):
+    w = glm.make_weights("random", pair_partition, rng=np.random.default_rng(9))
+    for back in (LocalWeights(pair_partition, w.values),
+                 LocalWeights.from_flat(pair_partition, w.flat_values())):
+        assert np.array_equal(back.flat_values(), w.flat_values())
+
+
+def test_weights_summing_to_one_pass_unscaled():
+    # within 1e-12 of 1 a vector is kept as given; further off it is rescaled
+    near = np.array([0.1, 0.2, 0.7])
+    p = Partition(sets=((0, 1, 2),))
+    assert LocalWeights(p, (near,)).flat_values().tolist() == near.tolist()
+    far = LocalWeights(p, (near * 2,)).flat_values()
+    assert far.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_weights_may_leave_members_out(pair_partition):
+    # a zero weight drops its member from the set's measurement
+    w = LocalWeights(pair_partition, (np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+    assert w.to_matrix(4).tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+    assert glm.measure(np.array([5.0, 7.0, 1.0, 3.0]), w).tolist() == [7.0, 2.0]
+
+
+def test_weights_reject_infinite_entries(pair_partition):
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="set 1: weights must be finite"):
+            LocalWeights(pair_partition, (np.ones(2), np.array([1.0, bad])))
+
+
 def _per_set_weights(scheme, partition, noise=None, rng=None):
     """The per-set loop that make_weights vectorizes; kept as its reference."""
     values = []

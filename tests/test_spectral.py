@@ -184,6 +184,35 @@ def test_gft_shape_check(p4):
         glm.gft(basis, np.zeros(5))
 
 
+def test_band_vectors_project_p2():
+    basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(2)))
+    ub = basis.band_vectors(1.0)
+    assert np.allclose(ub @ (ub.T @ np.array([2.0, 0.0])), [1.0, 1.0], atol=1e-12)
+
+
+def test_band_vectors_are_orthonormal(grid20):
+    # so U_b U_b^T is an orthogonal projection: applying it twice changes nothing
+    _, basis = grid20
+    ub = basis.band_vectors(0.1)
+    assert np.allclose(ub.T @ ub, np.eye(ub.shape[1]), atol=1e-10)
+    f = np.random.default_rng(1).standard_normal(basis.n)
+    once = ub @ (ub.T @ f)
+    assert np.allclose(ub @ (ub.T @ once), once, atol=1e-10)
+
+
+def test_band_vectors_extremes(p4):
+    _, basis = p4
+    f = np.array([1.0, 2.0, 3.0, 4.0])
+    # cutoff above the whole spectrum: the band is everything
+    ub = basis.band_vectors(10.0)
+    assert ub.shape == (4, 4)
+    assert np.allclose(ub @ (ub.T @ f), f, atol=1e-10)
+    # cutoff 0 keeps only the constant component (connected graph)
+    ub = basis.band_vectors(0.0)
+    assert ub.shape == (4, 1)
+    assert np.allclose(ub @ (ub.T @ f), np.full(4, f.mean()), atol=1e-10)
+
+
 def test_band_cutoff_inclusive():
     basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(3)))
     # eigenvalue exactly at the cutoff stays in band
