@@ -331,14 +331,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _rng(*key: int) -> np.random.Generator:
-    """The generator ``np.random.default_rng(np.random.SeedSequence(key))``.
-
-    Keys that fit uint32 words are passed as one uint32 array, which seeds
-    the same state with about half of SeedSequence's entropy conversion.
-    """
-    fits = 0 <= min(key) and max(key) < 1 << 32
-    entropy = np.array(key, dtype=np.uint32) if fits else list(key)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """The generator ``np.random.default_rng(np.random.SeedSequence(key))``."""
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)

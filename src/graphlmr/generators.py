@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -13,6 +14,7 @@ __all__ = ["path_graph", "grid_graph", "random_geometric_graph"]
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices: 0 - 1 - ... - (n-1)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     v = np.arange(n - 1)
@@ -21,6 +23,7 @@ def path_graph(n: int) -> Graph:
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols lattice, vertex (r, c) numbered r * cols + c."""
+    rows, cols = operator.index(rows), operator.index(cols)
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
     idx = np.arange(rows * cols).reshape(rows, cols)
@@ -82,9 +85,10 @@ def random_geometric_graph(
     Redraws the point set until connected (common for reasonable n / radius
     combinations), raising after ``max_tries`` failures.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     for _ in range(max_tries):
         pts = rng.random((n, 2))

@@ -8,7 +8,6 @@ neighbor lists), and every function here works on them with numpy.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -23,7 +22,6 @@ __all__ = [
     "load_edge_list",
     "parse_edge_list",
     "build_laplacian",
-    "induced_subgraph",
     "is_connected",
 ]
 
@@ -126,15 +124,9 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as a fresh int array."""
         return np.diff(self.indptr).astype(np.int64)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def induced_union(self, set_ids: np.ndarray, members: np.ndarray) -> "Graph":
         """The subgraphs induced by several vertex sets, as one graph.
@@ -382,39 +374,20 @@ def build_laplacian(graph: Graph) -> np.ndarray:
     return lap
 
 
-def _hop_distances(graph: Graph, source: int) -> list[int]:
-    """Hop distance from ``source`` to every vertex, -1 where unreachable."""
-    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
-    dist = [-1] * graph.n_vertices
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[ptr[u]:ptr[u + 1]]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, bool]:
-    """Subgraph induced by ``vertices``, plus whether it is connected.
-
-    The subgraph is reindexed to ``0 .. len(vertices) - 1`` following the
-    sorted order of the (deduplicated) input vertices.
-    """
-    n = graph.n_vertices
-    vs = np.unique(_vertex_ids(list(vertices), n))
-    if not vs.size:
-        raise ValueError("vertex set must be nonempty")
-    if vs[0] < 0:
-        raise ValueError(f"vertex out of range for {n} vertices")
-    sub = graph.induced_union(np.zeros_like(vs), vs)
-    return sub, is_connected(sub)
-
-
 def is_connected(graph: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (empty graph counts)."""
-    if graph.n_vertices <= 1:
+    n = graph.n_vertices
+    if n <= 1:
         return True
-    return -1 not in _hop_distances(graph, 0)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
+    seen = [False] * n
+    seen[0] = True
+    stack, reached = [0], 1
+    while stack:
+        u = stack.pop()
+        for w in nbrs[ptr[u]:ptr[u + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == n

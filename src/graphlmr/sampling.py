@@ -147,10 +147,6 @@ def _draw(
     if scheme == "random":
         for t, rng in enumerate(rngs):
             w[t] = rng.random(ids.size)
-        # measure-zero, but keep the invariant airtight: redraw sets summing to 0
-        while (hit := partition.sum_by_set(w.T).T == 0.0).any():
-            for t in np.flatnonzero(hit.any(axis=1)):
-                w[t, hit[t][ids]] = rngs[t].random(int(sizes[hit[t]].sum()))
     elif rngs:
         picks = np.array([rng.integers(sizes) for rng in rngs])
         w[np.arange(len(rngs))[:, None], starts + picks] = 1.0
@@ -174,7 +170,8 @@ def make_weights(
     - ``optimal_dirac``: all mass on the member with smallest sigma, ties to
       the lowest vertex index (requires ``noise``, same positivity rule).
 
-    The draws equal one ``rng.random(|V|)`` or ``rng.integers(sizes)`` call.
+    The draws equal one ``rng.random(|V|)`` or ``rng.integers(sizes)`` call;
+    a ``random`` set whose draws sum to zero raises rather than being redrawn.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(
@@ -210,7 +207,8 @@ def draw_weights(
 
     Row t equals ``make_weights(scheme, partition, rng=rngs[t]).flat_values()``
     bit for bit and leaves ``rngs[t]`` in the same state; only the draws run
-    per trial, the normalization is one pass over the block.
+    per trial, the normalization is one pass over the block.  A ``random``
+    set whose draws sum to zero raises rather than being redrawn.
     """
     if scheme not in ("random", "dirac"):
         raise ValueError(f"draw_weights takes 'random' or 'dirac', not {scheme!r}")

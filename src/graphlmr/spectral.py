@@ -215,7 +215,8 @@ def random_bandlimited_block(
 
     Column t draws from ``rngs[t]`` exactly what ``random_bandlimited`` draws
     from it; only the draws run per column, the products and norms are one
-    pass over the (n, T) block.
+    pass over the (n, T) block.  A draw that gives the zero vector raises
+    ``RuntimeError`` rather than being redrawn.
     """
     k_in = basis.band_dim(omega)
     if k_in == 0:
@@ -238,15 +239,7 @@ def _unit_columns(cols: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.n
         coeff[:, t] = rng.standard_normal(cols.shape[1])
     vecs = cols @ coeff
     scale = np.linalg.norm(vecs, axis=0)
-    # A fresh draw is all but surely nonzero; retry guards degenerate rng.
-    for _ in range(15):
-        zero = np.flatnonzero(scale == 0)
-        if zero.size == 0:
-            break
-        for t in zero:
-            vecs[:, t] = cols @ rngs[t].standard_normal(cols.shape[1])
-        scale[zero] = np.linalg.norm(vecs[:, zero], axis=0)
-    if (scale == 0).any():
-        raise RuntimeError("random draw repeatedly produced the zero vector")
+    if (scale == 0).any():  # probability 0 with a working generator
+        raise RuntimeError("random draw produced the zero vector")
     vecs /= scale
     return vecs

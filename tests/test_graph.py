@@ -12,8 +12,8 @@ def test_from_edges_canonicalizes():
     assert g.edges == ((0, 1), (0, 3), (1, 2))
     assert g.adjacency == ((1, 3), (0, 2), (1,), (0,))
     assert g.n_edges == 3
-    assert g.degree(1) == 2
-    assert g.neighbors(1) == (0, 2)
+    assert g.degrees()[1] == 2
+    assert g.adjacency[1] == (0, 2)
     assert list(g.degrees()) == [2, 2, 1, 1]
 
 
@@ -55,9 +55,16 @@ def test_generators_reject_bad_arguments():
             glm.grid_graph(rows, cols)
     with pytest.raises(ValueError, match="n must be positive"):
         glm.random_geometric_graph(0, 0.5, rng)
-    for radius in (0.0, -0.1):
+    for radius in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="radius must be positive"):
             glm.random_geometric_graph(5, radius, rng)
+    # counts must be integers, not floats that happen to pass "< 1"
+    for make in (lambda: glm.path_graph(2.5), lambda: glm.grid_graph(3, 2.5),
+                 lambda: glm.grid_graph(2.0, 3),
+                 lambda: glm.random_geometric_graph(10.5, 0.5, rng)):
+        with pytest.raises(TypeError):
+            make()
+    assert glm.path_graph(np.int64(3)) == glm.path_graph(3)
 
 
 def test_from_edges_dedup_collapses():
@@ -79,7 +86,7 @@ def test_parse_edge_list_header():
     # header fixes N even when trailing vertices are isolated
     g2 = glm.parse_edge_list("5 1\n0 1\n", header=True)
     assert g2.n_vertices == 5
-    assert g2.degree(4) == 0
+    assert g2.degrees()[4] == 0
 
 
 def test_parse_edge_list_header_mismatch():
@@ -167,40 +174,36 @@ def test_laplacian_quadratic_form(g, seed):
     assert quad == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
-def test_hop_distances():
-    # the breadth-first search behind is_connected; -1 marks unreachable
-    assert glm.graph._hop_distances(glm.path_graph(5), 2) == [2, 1, 0, 1, 2]
-    two = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert glm.graph._hop_distances(two, 0) == [0, 1, -1, -1]
-    assert glm.graph._hop_distances(glm.grid_graph(3, 3), 0) == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+def _induced(graph, vertices):
+    """The subgraph induced by ``vertices``, as one set of ``induced_union``."""
+    vs = np.unique(vertices)
+    return graph.induced_union(np.zeros_like(vs), vs)
 
 
-def test_induced_subgraph_reindexes():
+def test_induced_union_reindexes():
     g = glm.grid_graph(2, 3)  # vertices 0..5
-    sub, connected = glm.induced_subgraph(g, [4, 1, 0])
+    sub = _induced(g, [4, 1, 0])
     # sorted order 0,1,4 -> local 0,1,2; edges (0,1) and (1,4)
     assert sub.n_vertices == 3
     assert sub.edges == ((0, 1), (1, 2))
-    assert connected
+    assert glm.is_connected(sub)
+    apart = _induced(glm.path_graph(3), [0, 2])
+    assert apart.n_edges == 0 and not glm.is_connected(apart)
 
 
-def test_induced_subgraph_disconnected_flag():
-    g = glm.path_graph(3)
-    sub, connected = glm.induced_subgraph(g, [0, 2])
-    assert sub.n_edges == 0 and not connected
-    with pytest.raises(ValueError):
-        glm.induced_subgraph(g, [])
-    with pytest.raises(ValueError):
-        glm.induced_subgraph(g, [7])
-    for far in (10**20, -10**20):  # beyond int64, still a plain range error
-        with pytest.raises(ValueError, match="out of range"):
-            glm.induced_subgraph(g, [0, far])
+def test_induced_union_keeps_sets_apart():
+    # sets {0, 1} and {2, 3} of a path: the edge (1, 2) joins two sets
+    union = glm.path_graph(4).induced_union(np.array([0, 0, 1, 1]), np.arange(4))
+    assert union.edges == ((0, 1), (2, 3))
+    # members sorted by set id, then vertex: vertex j of the union is members[j]
+    union = glm.grid_graph(2, 2).induced_union(np.array([0, 0, 1, 1]),
+                                               np.array([0, 3, 1, 2]))
+    assert union.edges == ()
 
 
-def test_induced_subgraph_full_set_is_identity():
+def test_induced_union_full_set_is_identity():
     g = glm.grid_graph(3, 3)
-    sub, connected = glm.induced_subgraph(g, range(9))
-    assert sub == g and connected
+    assert _induced(g, range(9)) == g
 
 
 @st.composite
@@ -217,7 +220,8 @@ def _graph_and_vertices(draw):
 @settings(max_examples=80, deadline=None)
 def test_induced_subgraph_matches_edge_scan(case):
     g, chosen = case
-    sub, connected = glm.induced_subgraph(g, chosen)
+    sub = _induced(g, chosen)
+    connected = glm.is_connected(sub)
     local = {v: i for i, v in enumerate(sorted(set(chosen)))}
     edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
     assert sub == Graph.from_edges(len(local), edges)
@@ -233,5 +237,12 @@ def test_induced_subgraph_matches_edge_scan(case):
 
 def test_is_connected():
     assert glm.is_connected(glm.path_graph(6))
+    assert glm.is_connected(Graph.from_edges(0, []))
     assert glm.is_connected(Graph.from_edges(1, []))
     assert not glm.is_connected(Graph.from_edges(3, [(0, 1)]))
+    assert not glm.is_connected(Graph.from_edges(3, [(1, 2)]))  # vertex 0 alone
+    assert not glm.is_connected(Graph.from_edges(2, []))
+    # the walk from vertex 0 goes through a star, a cycle and a long path
+    assert glm.is_connected(Graph.from_edges(6, [(5, v) for v in range(5)]))
+    assert glm.is_connected(Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]))
+    assert glm.is_connected(glm.path_graph(100_000))

@@ -201,7 +201,7 @@ def test_make_weights_matches_per_set_loop(case, seed):
         assert rng.random() == ref_rng.random(), scheme  # same generator state
 
 
-def test_random_weights_redraw_only_zero_sum_sets():
+def test_random_weights_raise_on_zero_sum_set():
     class ZeroSecondSet:
         def __init__(self):
             self.sizes = []
@@ -211,9 +211,9 @@ def test_random_weights_redraw_only_zero_sum_sets():
             return np.array([0.25, 0.75, 0.0]) if len(self.sizes) == 1 else np.ones(size)
 
     rng = ZeroSecondSet()
-    w = glm.make_weights("random", Partition(sets=((0, 1), (2,))), rng=rng)
-    assert rng.sizes == [3, 1]
-    assert np.array_equal(w.flat_values(), [0.25, 0.75, 1.0])
+    with pytest.raises(ValueError, match="set 1: weights sum to zero"):
+        glm.make_weights("random", Partition(sets=((0, 1), (2,))), rng=rng)
+    assert rng.sizes == [3]  # no redraw
 
 
 def test_weights_matrix(pair_partition):
@@ -351,7 +351,7 @@ def test_draw_weights_matches_make_weights_bitwise(scheme):
         assert rng.bit_generator.state == single.bit_generator.state
 
 
-def test_draw_weights_redraws_zero_sum_sets_per_trial():
+def test_draw_weights_raise_on_zero_sum_set():
     class Scripted:
         """Hands out scripted draws, then ones; records the sizes asked for."""
 
@@ -363,15 +363,17 @@ def test_draw_weights_redraws_zero_sum_sets_per_trial():
             return np.array(self.draws.pop(0)) if self.draws else np.ones(size)
 
     partition = Partition(sets=((0, 1), (2,)))
-    scripts = [([0.25, 0.75, 0.0],), ([0.0, 0.0, 0.5], [0.0, 0.0]), ([0.5, 0.5, 0.5],)]
+    scripts = [([0.25, 0.75, 0.5],), ([0.0, 0.0, 0.5],), ([0.5, 0.5, 0.5],)]
     rngs = [Scripted(*draws) for draws in scripts]
-    block = glm.draw_weights("random", partition, rngs)
-    for t, draws in enumerate(scripts):
-        single = Scripted(*draws)
-        want = glm.make_weights("random", partition, rng=single).flat_values()
-        assert np.array_equal(block[t], want)
-        assert rngs[t].sizes == single.sizes
-    assert rngs[1].sizes == [3, 2, 2]  # set 0 drew zeros twice
+    with pytest.raises(ValueError, match="set 0: weights sum to zero"):
+        glm.draw_weights("random", partition, rngs)
+    assert [r.sizes for r in rngs] == [[3], [3], [3]]  # no redraw
+    # without the zero-sum trial, each row is still make_weights' draw
+    kept = [scripts[0], scripts[2]]
+    block = glm.draw_weights("random", partition, [Scripted(*d) for d in kept])
+    for row, draws in zip(block, kept):
+        want = glm.make_weights("random", partition, rng=Scripted(*draws))
+        assert np.array_equal(row, want.flat_values())
 
 
 def test_draw_weights_rejects_fixed_schemes():
