@@ -187,7 +187,11 @@ def test_induced_union_reindexes():
     assert sub.n_vertices == 3
     assert sub.edges == ((0, 1), (1, 2))
     assert glm.is_connected(sub)
+
+
+def test_induced_union_disconnected():
     apart = _induced(glm.path_graph(3), [0, 2])
+    assert apart.n_vertices == 2
     assert apart.n_edges == 0 and not glm.is_connected(apart)
 
 
@@ -233,6 +237,14 @@ def test_induced_subgraph_matches_edge_scan(case):
                 reached |= {u, v}
                 grew = True
     assert connected == (len(reached) == len(local))
+
+
+def test_is_connected_reaches_every_hop():
+    # vertices several hops from vertex 0 are reached; another component is not
+    assert glm.is_connected(glm.path_graph(5))
+    assert glm.is_connected(glm.grid_graph(3, 3))
+    assert not glm.is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    assert not glm.is_connected(Graph.from_edges(4, [(0, 1), (1, 2)]))  # vertex 3 alone
 
 
 def test_is_connected():
