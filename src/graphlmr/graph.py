@@ -8,6 +8,7 @@ neighbor lists), and every function here works on them with numpy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -202,11 +203,17 @@ def _edge_keys(
 
 def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
     """``values``, an array or nested sequence of ints, as an int64 array in
-    which every id outside ``0 .. n - 1`` reads -1, ids no int64 holds too."""
-    try:
-        ids = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        ids = np.asarray(values, dtype=object)  # Python ints compare exactly
+    which every id outside ``0 .. n - 1`` reads -1, ids no int64 holds too.
+
+    Raises ``TypeError`` for an id that is not an integer (a float, a
+    string, ...), unless ``values`` holds no id at all."""
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        # numpy reads Python ints beyond int64 as objects or floats; kept
+        # as Python ints, they compare exactly
+        ids = np.asarray(values, dtype=object)
+        for x in ids.flat:
+            operator.index(x)
     return np.where((ids >= 0) & (ids < n), ids, -1).astype(np.int64, copy=False)
 
 
@@ -219,16 +226,19 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield line_no, fields
 
 
-def _int64_pairs(text: str) -> np.ndarray | None:
+def _int64_pairs(text: str | bytes) -> np.ndarray | None:
     """The data lines of :func:`_records` as the rows of an ``(m, 2)`` int64
-    array, from one pass over the text's bytes; ``None`` unless every line
-    break is ``\n`` or ``\r\n``, the only other whitespace is space and tab,
-    and every data line is two tokens ``-?[0-9]{1,18}``."""
-    # str.splitlines also breaks at \v \f \x1c-\x1e, which are control bytes
-    # as checked below, and at these three
-    if not text.isascii() and any(c in text for c in "\x85\u2028\u2029"):
-        return None
-    raw = text.encode("utf-8", "surrogatepass")
+    array, from one pass over the bytes of ``text`` (a str, or the bytes of
+    an ASCII text); ``None`` unless every line break is ``\n`` or ``\r\n``,
+    the only other whitespace is space and tab, and every data line is two
+    tokens ``-?[0-9]{1,18}``."""
+    raw = text
+    if isinstance(text, str):
+        # str.splitlines also breaks at \v \f \x1c-\x1e, which are control
+        # bytes as checked below, and at these three
+        if not text.isascii() and any(c in text for c in "\x85\u2028\u2029"):
+            return None
+        raw = text.encode("utf-8", "surrogatepass")
     b = np.frombuffer(raw, dtype=np.uint8)
     ctrl = np.flatnonzero(b < 32)
     kind = b[ctrl]
@@ -283,12 +293,12 @@ def _leading_int_rows(rows: list[list[str]]) -> np.ndarray:
 
 
 def parse_edge_list(
-    text: str,
+    text: str | bytes,
     index_base: int = 0,
     dedup: bool = False,
     header: bool = False,
 ) -> Graph:
-    """Parse edge-list text into a :class:`Graph`.
+    """Parse edge-list text, or its UTF-8 bytes, into a :class:`Graph`.
 
     Format: one ``u v`` pair per line, whitespace separated; blank lines and
     lines starting with ``#`` are ignored.  With ``header=True`` the first
@@ -297,19 +307,26 @@ def parse_edge_list(
     count is inferred as ``max index + 1`` (after ``index_base`` shifting).
     ``index_base=1`` converts 1-based input to the internal 0-based indexing.
     Errors name the line of the first bad data line, as a line-by-line read
-    would.
+    would.  Line breaks are those of ``str.splitlines``.  ASCII bytes go to
+    the one-pass reader undecoded; other bytes are decoded first, strictly.
     """
+    if isinstance(text, bytes) and not text.isascii():
+        text = text.decode("utf-8")
     if index_base not in (0, 1):
         raise EdgeListError(f"index_base must be 0 or 1, got {index_base}")
+
+    def records() -> Iterator[tuple[int, list[str]]]:
+        return _records(text if isinstance(text, str) else text.decode("ascii"))
+
     values = _int64_pairs(text)
     rows = None
     if values is None:  # find the first malformed line, reading line by line
-        rows = [fields for _, fields in _records(text)]
+        rows = [fields for _, fields in records()]
         values = _leading_int_rows(rows)
     n_rows = len(values) if rows is None else len(rows)
 
     def line_no(row: int) -> int:
-        return next(islice(_records(text), row, None))[0]
+        return next(islice(records(), row, None))[0]
 
     start = 1 if header and len(values) else 0
     if start and (values[0] < 0).any():
@@ -355,9 +372,11 @@ def load_edge_list(
     dedup: bool = False,
     header: bool = False,
 ) -> Graph:
-    """Read an edge-list file (UTF-8); see :func:`parse_edge_list`."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_edge_list(text, index_base=index_base, dedup=dedup, header=header)
+    """Read an edge-list file (UTF-8); see :func:`parse_edge_list`, which
+    takes its bytes."""
+    return parse_edge_list(
+        Path(path).read_bytes(), index_base=index_base, dedup=dedup, header=header
+    )
 
 
 def build_laplacian(graph: Graph) -> np.ndarray:

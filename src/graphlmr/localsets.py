@@ -38,27 +38,36 @@ __all__ = [
 class Partition:
     """A collection of vertex sets, optionally with one center per set.
 
-    Construction only enforces structure (nonempty sets, matching center
-    count); semantic requirements against a particular graph (disjointness,
-    coverage, connectivity, center membership) are checked by
-    :func:`validate_partition`, which reports violations as data.
+    Construction only enforces structure (integer vertex ids, nonempty
+    sets, matching center count); semantic requirements against a particular
+    graph (disjointness, coverage, connectivity, center membership) are
+    checked by :func:`validate_partition`, which reports violations as data.
     """
 
     sets: tuple[tuple[int, ...], ...]
     centers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        sets = tuple(tuple(int(v) for v in s) for s in self.sets)
+        sets = tuple(tuple(map(operator.index, s)) for s in self.sets)
         if any(len(s) == 0 for s in sets):
             raise ValueError("every set must be nonempty")
         object.__setattr__(self, "sets", sets)
         if self.centers is not None:
-            centers = tuple(int(c) for c in self.centers)
+            centers = tuple(map(operator.index, self.centers))
             if len(centers) != len(sets):
                 raise ValueError(
                     f"{len(centers)} centers for {len(sets)} sets"
                 )
             object.__setattr__(self, "centers", centers)
+
+    @classmethod
+    def _adopt(cls, sets: tuple[tuple[int, ...], ...]) -> "Partition":
+        """Partition without centers over nonempty tuples of Python ints,
+        taken as they are."""
+        partition = cls.__new__(cls)
+        object.__setattr__(partition, "sets", sets)
+        object.__setattr__(partition, "centers", None)
+        return partition
 
     @property
     def n_sets(self) -> int:
@@ -115,7 +124,7 @@ class Partition:
         return values[self._flat[0]]
 
     def with_centers(self, centers: Sequence[int]) -> "Partition":
-        return Partition(sets=self.sets, centers=tuple(int(c) for c in centers))
+        return Partition(sets=self.sets, centers=centers)
 
 
 def greedy_partition(graph: Graph, n_max: int) -> Partition:
@@ -127,10 +136,13 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
     vertices and their incident edges then leave the remaining graph.
     Degrees are measured in the remaining graph as of the round's start, and
     all ties break toward the lowest vertex index, so the result is
-    deterministic.  Seeds come from a heap, so the whole run costs
-    O((N + E) log N).
+    deterministic.  Each member's neighbors are walked once, counting the
+    set's edges into every remaining vertex they touch, and each touched
+    vertex gets one heap push per round for its lowered degree, so the whole
+    run costs O((N + E) log N).
     """
-    if operator.index(n_max) < 1:
+    n_max = operator.index(n_max)
+    if n_max < 1:
         raise ValueError("n_max must be at least 1")
     n = graph.n_vertices
     ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
@@ -141,36 +153,48 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
     # has had; an older rank is larger, so it surfaces only after the vertex
     # has left, and entries of removed vertices are skipped.
     rank = (graph.degrees() * n + np.arange(n)).tolist()
-    rank_of = rank.__getitem__
     heap = rank.copy()
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     alive = [True] * n
     is_alive = alive.__getitem__
+    # hits[w]: edges from the growing set to w; nonzero only for the
+    # round's touched vertices, and zeroed again when the round ends
+    hits = [0] * n
     sets: list[tuple[int, ...]] = []
     remaining = n
     while remaining:
-        top = heapq.heappop(heap)
-        seed = top % n
+        seed = pop(heap) % n
         if not alive[seed]:
             continue
-        members = [seed]
         alive[seed] = False
-        # ranks of the alive neighbors of the set, so min() picks directly
-        frontier = set(map(rank_of, filter(is_alive, nbrs[seed])))
-        while len(members) < n_max and frontier:
-            top = min(frontier)
-            frontier.remove(top)
-            pick = top % n
-            members.append(pick)
-            alive[pick] = False
-            frontier.update(map(rank_of, filter(is_alive, nbrs[pick])))
-        for v in members:
+        members, touched = [seed], []
+        # ranks of the set's alive neighbors; fixed within the round, so
+        # each enters once, on its first hit, and leaves when absorbed
+        frontier: list[int] = []
+        v, size = seed, 1
+        while True:
             for w in filter(is_alive, nbrs[v]):
-                rank[w] -= n
-                heapq.heappush(heap, rank[w])
+                if hits[w]:
+                    hits[w] += 1
+                else:
+                    hits[w] = 1
+                    touched.append(w)
+                    push(frontier, rank[w])
+            if size == n_max or not frontier:
+                break
+            v = pop(frontier) % n
+            alive[v] = False
+            members.append(v)
+            size += 1
+        for w in touched:
+            if alive[w]:
+                rank[w] -= hits[w] * n
+                push(heap, rank[w])
+            hits[w] = 0
         sets.append(tuple(members))
-        remaining -= len(members)
-    return Partition(sets=tuple(sets))
+        remaining -= size
+    return Partition._adopt(tuple(sets))
 
 
 @dataclass(frozen=True)

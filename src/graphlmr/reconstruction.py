@@ -287,7 +287,7 @@ def ilsr(
     a-priori rate is reported (the sampled set need not cover the graph, so
     the sqrt(|N| D) score does not apply).
     """
-    samples = list(int(u) for u in sample_set)
+    samples = list(map(operator.index, sample_set))
     if len(set(samples)) != len(samples):
         raise ValueError("sample_set contains repeated vertices")
     if any(not 0 <= u < basis.n for u in samples):

@@ -550,12 +550,43 @@ def test_partition_checks_build_no_subgraph(monkeypatch):
 # Greedy partitioning and geometric graphs
 
 
+def _assert_greedy_matches_loop(g, n_max):
+    """The greedy partition equals the oracle's, built by the constructor,
+    in every view: sets, hash, and the read-only flat arrays."""
+    got, want = glm.greedy_partition(g, n_max), _loop_greedy(g, n_max)
+    assert got == want and hash(got) == hash(want)
+    assert got.centers is None
+    assert all(type(v) is int for s in got.sets for v in s)
+    views = (*got.member_arrays(), got.set_starts(), got.sizes())
+    expected = (*want.member_arrays(), want.set_starts(), want.sizes())
+    for view, arr in zip(views, expected):
+        assert view.dtype == arr.dtype and np.array_equal(view, arr)
+        assert not view.flags.writeable
+
+
 @pytest.mark.parametrize("rows, cols, n_max", [
     (1, 1, 1), (1, 7, 2), (5, 5, 1), (6, 9, 4), (20, 20, 8), (13, 7, 100),
 ])
 def test_greedy_matches_loop_on_grids(rows, cols, n_max):
-    g = glm.grid_graph(rows, cols)
-    assert glm.greedy_partition(g, n_max).sets == _loop_greedy(g, n_max).sets
+    _assert_greedy_matches_loop(glm.grid_graph(rows, cols), n_max)
+
+
+def _permuted_grid(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    edges = rng.permutation(rows * cols)[np.array(glm.grid_graph(rows, cols).edges)]
+    return Graph.from_edges(rows * cols, edges[rng.permutation(len(edges))])
+
+
+@pytest.mark.parametrize("graph, n_max", [
+    # the partition benchmark's shape, and the rgg300 runs' graphs and sizes
+    (lambda: _permuted_grid(50, 50, 7), 8),
+    (lambda: glm.random_geometric_graph(300, 0.09, np.random.default_rng(1)), 3),
+    (lambda: glm.random_geometric_graph(300, 0.09, np.random.default_rng(1)), 8),
+    # dense: frontier vertices border several members of the growing set
+    (lambda: glm.random_geometric_graph(80, 0.6, np.random.default_rng(2)), 6),
+], ids=["grid50x50-permuted", "rgg300-nmax3", "rgg300-nmax8", "dense-rgg80"])
+def test_greedy_matches_loop_on_larger_graphs(graph, n_max):
+    _assert_greedy_matches_loop(graph(), n_max)
 
 
 @given(
@@ -566,7 +597,7 @@ def test_greedy_matches_loop_on_grids(rows, cols, n_max):
 @settings(max_examples=200, deadline=None)
 def test_greedy_matches_loop_on_random_graphs(n, pairs, n_max):
     g = Graph.from_edges(n, [(u, v) for u, v in pairs if u < n and v < n], dedup=True)
-    assert glm.greedy_partition(g, n_max).sets == _loop_greedy(g, n_max).sets
+    _assert_greedy_matches_loop(g, n_max)
 
 
 def test_random_geometric_graph_matches_distance_table():

@@ -26,6 +26,13 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+    # ids that are not integers are neither truncated nor parsed
+    for edges in ([(0, 1.5), (1, 2)], np.array([[0, 1.9], [1, 2]]),
+                  [("0", "1")], np.array([[0, 1.0]], dtype=object)):
+        with pytest.raises(TypeError):
+            Graph.from_edges(3, edges)
+    # an empty input of any dtype holds no id to reject
+    assert Graph.from_edges(3, np.zeros((0, 2))).n_edges == 0
 
 
 def test_from_edges_rejects_too_many_vertices_and_non_pairs():
@@ -41,6 +48,8 @@ def test_vertex_ids_mark_every_outside_id():
     ids = glm.graph._vertex_ids([[0, 10**20], [-(10**20), 2], [3, -1]], 3)
     assert ids.dtype == np.int64
     assert ids.tolist() == [[0, -1], [-1, 2], [-1, -1]]
+    # numpy reads this mix of Python ints as float64; the ids stay exact
+    assert glm.graph._vertex_ids([-1, 2**63, 1], 3).tolist() == [-1, -1, 1]
     given = np.array([5, 1, -7])
     assert glm.graph._vertex_ids(given, 3).tolist() == [-1, 1, -1]
     assert given.tolist() == [5, 1, -7]  # the caller's array is left alone
@@ -136,6 +145,31 @@ def test_load_edge_list_roundtrip(tmp_path):
     path.write_text("# toy\n0 1\n1 2\n2 0\n", encoding="utf-8")
     g = glm.load_edge_list(path)
     assert g.n_vertices == 3 and g.n_edges == 3
+
+
+def test_load_edge_list_reads_text_line_breaks(tmp_path):
+    path = tmp_path / "g.edges"
+    # a lone \r breaks a line, as in text, and error line numbers count it
+    path.write_bytes(b"# toy\r0 1\r1 2\r")
+    assert glm.load_edge_list(path) == Graph.from_edges(3, [(0, 1), (1, 2)])
+    path.write_bytes(b"0 1\r\r\n1 x\r")
+    with pytest.raises(EdgeListError, match="line 3: non-integer field"):
+        glm.load_edge_list(path)
+
+
+def test_load_edge_list_decodes_utf8_strictly(tmp_path):
+    path = tmp_path / "g.edges"
+    # a byte-order mark is not whitespace: it makes the first field bad
+    path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
+    with pytest.raises(EdgeListError, match="line 1: non-integer field"):
+        glm.load_edge_list(path)
+    path.write_bytes("# caf\u00e9\n0 1\n".encode("utf-8"))
+    assert glm.load_edge_list(path) == Graph.from_edges(2, [(0, 1)])
+    assert glm.parse_edge_list(path.read_bytes()) == Graph.from_edges(2, [(0, 1)])
+    # invalid UTF-8 is an error even inside a comment
+    path.write_bytes(b"# \xff\n0 1\n")
+    with pytest.raises(UnicodeDecodeError):
+        glm.load_edge_list(path)
 
 
 def test_build_laplacian_p3():

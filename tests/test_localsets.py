@@ -105,6 +105,16 @@ def test_partition_constructor_structural_checks():
         Partition(sets=((0, 1), ()))
     with pytest.raises(ValueError, match="centers"):
         Partition(sets=((0, 1),), centers=(0, 1))
+    # ids that are not integers are not truncated
+    with pytest.raises(TypeError):
+        Partition(sets=((0, 1.7), (2,)))
+    with pytest.raises(TypeError):
+        Partition(sets=((0, 1), (2,)), centers=(0.9, 2))
+    with pytest.raises(TypeError):
+        Partition(sets=((0, 1), (2,))).with_centers([0, 2.0])
+    p = Partition(sets=(np.array([0, 1]), [np.int64(2)]), centers=np.array([1, 2]))
+    assert p.sets == ((0, 1), (2,)) and p.centers == (1, 2)
+    assert all(type(v) is int for v in (*p.sets[0], *p.sets[1], *p.centers))
 
 
 def test_partition_member_arrays():

@@ -179,6 +179,8 @@ def test_ilsr_input_validation(p4):
         glm.ilsr(np.zeros(2), [1, 1], basis, cfg)
     with pytest.raises(ValueError, match="out of range"):
         glm.ilsr(np.zeros(1), [9], basis, cfg)
+    with pytest.raises(TypeError):  # not truncated to vertices 0 and 2
+        glm.ilsr(np.zeros(2), [0.6, 2.9], basis, cfg)
 
 
 def test_ipr_requires_centers(p4):
