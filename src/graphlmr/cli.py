@@ -17,7 +17,6 @@ from .experiments import (
 )
 from .graph import build_laplacian, load_edge_list
 from .localsets import greedy_partition, partition_metrics, write_partition
-from .spectral import _Owned, eigendecompose
 
 OUT_DIR_ENV = "GRAPHLMR_OUT_DIR"
 
@@ -129,9 +128,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    basis = eigendecompose(_Owned(build_laplacian(graph)))
-    lam2 = repr(float(basis.eigenvalues[1])) if graph.n_vertices > 1 else "n/a"
-    lam_n = repr(float(basis.eigenvalues[-1])) if graph.n_vertices else "n/a"
+    eigenvalues = np.linalg.eigvalsh(build_laplacian(graph))
+    lam2 = repr(float(eigenvalues[1])) if graph.n_vertices > 1 else "n/a"
+    lam_n = repr(float(eigenvalues[-1])) if graph.n_vertices else "n/a"
     print(f"vertices: {graph.n_vertices}")
     print(f"edges: {graph.n_edges}")
     print(f"lambda_2: {lam2}")

@@ -11,19 +11,18 @@ weights this collapses to |I| sigma sqrt(2/pi) / (1 - gamma).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .localsets import Partition
-from .sampling import LocalWeights, NoiseModel, equivalent_noise_sigma, make_weights
+from .sampling import LocalWeights, NoiseModel, equivalent_noise_sigma
 
 __all__ = [
     "ErrorBoundReport",
     "sample_noise",
     "noise_tilde",
-    "realized_bound",
-    "expected_bound",
     "realized_report",
     "expected_report",
 ]
@@ -50,10 +49,8 @@ class ErrorBoundReport:
 
     ``bound_at_k[k]`` is the bound after k iterations (nonincreasing, tending
     to ``asymptotic_bound = n_tilde / (1 - gamma)``).  ``variant`` names what
-    n_tilde is: ``"realized-noise"`` (one observed noise vector),
-    ``"per-vertex-gaussian"`` (expectation under a general sigma(v) model),
-    or ``"iid"`` (the same expectation, with constant sigma and uniform
-    weights checked).
+    n_tilde is: ``"realized-noise"`` (one observed noise vector) or
+    ``"per-vertex-gaussian"`` (expectation under a sigma(v) model).
     """
 
     gamma: float
@@ -71,7 +68,7 @@ def _report(
         raise ValueError(
             f"bound requires 0 <= gamma < 1 (it is vacuous otherwise); got {gamma}"
         )
-    if n_iterations < 0:
+    if operator.index(n_iterations) < 0:
         raise ValueError("n_iterations must be nonnegative")
     asym = n_tilde / (1.0 - gamma)
     ks = np.arange(n_iterations + 1)
@@ -103,74 +100,19 @@ def realized_report(
 
 def expected_report(
     gamma: float,
-    partition: Partition,
     weights: LocalWeights,
     noise: NoiseModel,
     n_iterations: int,
     *,
     norm_f: float = 1.0,
-    iid_shortcut: bool = False,
 ) -> ErrorBoundReport:
     """Expected bound curve under the Gaussian noise model, k = 0 .. n_iterations.
 
-    n_tilde is sqrt(2/pi) * sum_i sqrt(|N_i|) sigma_i, and the envelope is
-    norm_f + E||n||, approximating E||n|| by sqrt(sum_v sigma^2(v)).
-
-    ``iid_shortcut=True`` first checks that sigma is constant and the
-    weights uniform, where n_tilde is |I| sigma sqrt(2/pi), and labels the
-    report ``"iid"``.
+    n_tilde is sqrt(2/pi) * sum_i sqrt(|N_i|) sigma_i over the sets of
+    ``weights.partition``, and the envelope is norm_f + E||n||, approximating
+    E||n|| by sqrt(sum_v sigma^2(v)).
     """
-    if weights.partition.sets != partition.sets:
-        raise ValueError("weights belong to a different partition")
-    if iid_shortcut:
-        sig = noise.sigma
-        if sig.size == 0:
-            raise ValueError("empty noise model")
-        if not np.all(sig == sig[0]):
-            raise ValueError("iid shortcut requires constant sigma(v)")
-        uniform = make_weights("uniform", partition).flat_values()
-        if not np.allclose(weights.flat_values(), uniform, rtol=0.0, atol=1e-12):
-            raise ValueError("iid shortcut requires uniform weights")
     eq = equivalent_noise_sigma(weights, noise)
-    nt = float(np.sqrt(partition.sizes()) @ eq.expected_abs)
+    nt = float(np.sqrt(weights.partition.sizes()) @ eq.expected_abs)
     envelope = norm_f + float(np.hypot.reduce(noise.sigma))
-    variant = "iid" if iid_shortcut else "per-vertex-gaussian"
-    return _report(gamma, nt, envelope, n_iterations, variant)
-
-
-def realized_bound(
-    gamma: float,
-    partition: Partition,
-    equivalent_noises: np.ndarray,
-    norm_f: float,
-    norm_n: float,
-    k: int,
-) -> float:
-    """Error bound at iteration k for one realized noise vector: entry k of
-    :func:`realized_report`."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    report = realized_report(gamma, partition, equivalent_noises, norm_f, norm_n, k)
-    return float(report.bound_at_k[k])
-
-
-def expected_bound(
-    gamma: float,
-    partition: Partition,
-    weights: LocalWeights,
-    noise: NoiseModel,
-    k: int | None = None,
-    *,
-    norm_f: float = 1.0,
-    iid_shortcut: bool = False,
-) -> float:
-    """Expected error bound over the Gaussian noise model: entry k of
-    :func:`expected_report`, or with ``k=None`` its leading (steady-state)
-    term sqrt(2/pi)/(1-gamma) * sum_i sqrt(|N_i|) sigma_i alone."""
-    if k is not None and k < 0:
-        raise ValueError("k must be nonnegative")
-    report = expected_report(
-        gamma, partition, weights, noise, 0 if k is None else k,
-        norm_f=norm_f, iid_shortcut=iid_shortcut,
-    )
-    return report.asymptotic_bound if k is None else float(report.bound_at_k[k])
+    return _report(gamma, nt, envelope, n_iterations, "per-vertex-gaussian")

@@ -167,20 +167,16 @@ class BandOperator:
         return (measured @ self._spread).T
 
     @staticmethod
-    def contraction(gain: np.ndarray) -> tuple[float, float]:
+    def contractions(gains: Sequence[np.ndarray]) -> list[tuple[float, float]]:
         """The spectral norm and the spectral radius of the sweep's iteration
-        matrix I - M, each the largest over trials for a (T, k, k) ``gain``.
+        matrix I - M for each (k, k) or (T, k, k) gain, each the largest over
+        trials for a (T, k, k) one.
 
         The norm bounds the error decay of every sweep; the radius is its
-        asymptotic rate, and the iteration diverges when it is >= 1.
+        asymptotic rate, and the iteration diverges when it is >= 1.  One svd
+        and one eigvals call cover all gains stacked (LAPACK still runs per
+        matrix, so each result is what a call on that gain alone gives).
         """
-        return BandOperator.contractions([gain])[0]
-
-    @staticmethod
-    def contractions(gains: Sequence[np.ndarray]) -> list[tuple[float, float]]:
-        """:meth:`contraction` of each (k, k) or (T, k, k) gain, from one svd
-        and one eigvals call over all of them stacked (LAPACK still runs per
-        matrix, so each result is what its own call gives)."""
         k = gains[0].shape[-1]
         if k == 0:
             return [(0.0, 0.0)] * len(gains)
@@ -339,4 +335,4 @@ def contraction_ratio(
     """
     metrics = partition_metrics(graph, partition)
     op = BandOperator(basis, omega, partition)
-    return metrics.c_max * math.sqrt(omega), op.contraction(op.gain(weights))[0]
+    return metrics.c_max * math.sqrt(omega), op.contractions([op.gain(weights)])[0][0]

@@ -142,12 +142,12 @@ def test_5_realized_noise_bound_dominates(grid20, grid20_pairs):
             ),
             c_max=metrics.c_max,
         )
-        for k, observed in enumerate(run.error_trace):
-            bound = glm.realized_bound(
-                gamma, partition, per_set_noise,
-                norm_f=1.0, norm_n=float(np.linalg.norm(noise)), k=k,
-            )
-            violations += observed > bound + 1e-12
+        bound = glm.realized_report(
+            gamma, partition, per_set_noise,
+            norm_f=1.0, norm_n=float(np.linalg.norm(noise)), n_iterations=60,
+        ).bound_at_k
+        assert run.error_trace.shape == bound.shape
+        violations += int(np.count_nonzero(run.error_trace > bound + 1e-12))
     assert violations == 0
 
 

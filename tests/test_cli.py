@@ -36,6 +36,20 @@ def test_info(edge_file, capsys):
     assert out[3].startswith("lambda_max: 3.41421356")
 
 
+def test_info_spectrum_range_matches_eigendecompose(grid20, tmp_path, capsys):
+    graph, basis = grid20
+    path = tmp_path / "grid.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges), encoding="utf-8")
+    assert main(["info", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["vertices: 400", f"edges: {graph.n_edges}"]
+    assert out[2].startswith("lambda_2: ") and out[3].startswith("lambda_max: ")
+    lam2 = float(out[2].removeprefix("lambda_2: "))
+    lam_max = float(out[3].removeprefix("lambda_max: "))
+    assert lam2 == pytest.approx(basis.eigenvalues[1], rel=1e-12)
+    assert lam_max == pytest.approx(basis.eigenvalues[-1], rel=1e-12)
+
+
 def test_info_one_based_header(tmp_path, capsys):
     path = tmp_path / "p3.edges"
     path.write_text("3 2\n1 2\n2 3\n", encoding="utf-8")

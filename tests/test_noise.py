@@ -41,21 +41,22 @@ def test_noise_tilde_arithmetic():
         glm.noise_tilde(p, np.zeros(3))
 
 
-def test_realized_bound_limit_and_k0():
+def test_realized_report_limit_and_k0():
     # n_tilde = 0.1 via one set of four vertices with |n_1| = 0.05
     p = Partition(sets=((0, 1, 2, 3),))
     noises = np.array([0.05])
-    large_k = glm.realized_bound(0.5, p, noises, norm_f=1.0, norm_n=0.01, k=200)
-    assert large_k == pytest.approx(0.2, abs=1e-12)
-    at_zero = glm.realized_bound(0.5, p, noises, norm_f=1.0, norm_n=0.01, k=0)
-    assert at_zero == pytest.approx(0.2 + 0.5 * 1.01, rel=1e-12)  # 0.705
+    rep = glm.realized_report(0.5, p, noises, norm_f=1.0, norm_n=0.01,
+                              n_iterations=200)
+    assert rep.bound_at_k[200] == pytest.approx(0.2, abs=1e-12)
+    assert rep.bound_at_k[0] == pytest.approx(0.2 + 0.5 * 1.01, rel=1e-12)  # 0.705
 
 
-def test_realized_bound_zero_noise_is_pure_decay():
+def test_realized_report_zero_noise_is_pure_decay():
     p = Partition(sets=((0, 1),))
+    rep = glm.realized_report(0.3, p, np.zeros(1), norm_f=2.0, norm_n=0.0,
+                              n_iterations=10)
     for k in (0, 3, 10):
-        b = glm.realized_bound(0.3, p, np.zeros(1), norm_f=2.0, norm_n=0.0, k=k)
-        assert b == pytest.approx(0.3 ** (k + 1) * 2.0, rel=1e-12)
+        assert rep.bound_at_k[k] == pytest.approx(0.3 ** (k + 1) * 2.0, rel=1e-12)
 
 
 def test_bound_rejects_vacuous_gamma():
@@ -64,60 +65,48 @@ def test_bound_rejects_vacuous_gamma():
     noise = NoiseModel.iid(2, 0.1)
     for gamma in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="gamma"):
-            glm.realized_bound(gamma, p, np.zeros(1), 1.0, 0.0, 0)
+            glm.realized_report(gamma, p, np.zeros(1), 1.0, 0.0, 0)
         with pytest.raises(ValueError, match="gamma"):
-            glm.expected_bound(gamma, p, w, noise)
-    with pytest.raises(ValueError, match="k must"):
-        glm.realized_bound(0.5, p, np.zeros(1), 1.0, 0.0, -1)
+            glm.expected_report(gamma, w, noise, 0)
+    with pytest.raises(ValueError, match="n_iterations must"):
+        glm.realized_report(0.5, p, np.zeros(1), 1.0, 0.0, -1)
 
 
-def test_expected_bound_iid_shortcut_value():
+def test_expected_report_iid_value():
     # ten pair sets, sigma = 0.01, gamma = 0.5: |I| sigma sqrt(2/pi) / (1-gamma)
     p = glm.greedy_partition(glm.path_graph(20), 2)
     assert p.n_sets == 10
     w = glm.make_weights("uniform", p)
     noise = NoiseModel.iid(20, 0.01)
-    value = glm.expected_bound(0.5, p, w, noise, iid_shortcut=True)
+    value = glm.expected_report(0.5, w, noise, 0).asymptotic_bound
     assert value == pytest.approx(0.2 * HALF_NORMAL, rel=1e-12)
     assert value == pytest.approx(0.15957691216057307, rel=1e-10)
 
 
-def test_expected_bound_general_reduces_to_iid():
+def test_expected_report_reduces_to_iid_closed_form():
     # with uniform weights and constant sigma, sqrt(|N_i|) sigma_i = sigma
     p = Partition(sets=((0, 1), (2, 3, 4), (5,)))
     w = glm.make_weights("uniform", p)
     noise = NoiseModel.iid(6, 0.02)
-    general = glm.expected_bound(0.4, p, w, noise)
-    shortcut = glm.expected_bound(0.4, p, w, noise, iid_shortcut=True)
-    assert general == pytest.approx(shortcut, rel=1e-12)
+    general = glm.expected_report(0.4, w, noise, 0).asymptotic_bound
+    assert general == pytest.approx(3 * 0.02 * HALF_NORMAL / 0.6, rel=1e-12)
 
 
-def test_expected_bound_zero_sigma():
+def test_expected_report_zero_sigma():
     p = Partition(sets=((0, 1),))
     w = glm.make_weights("uniform", p)
-    assert glm.expected_bound(0.5, p, w, NoiseModel(sigma=np.zeros(2))) == 0.0
+    rep = glm.expected_report(0.5, w, NoiseModel(sigma=np.zeros(2)), 0)
+    assert rep.asymptotic_bound == 0.0
 
 
-def test_expected_bound_shortcut_preconditions():
-    p = Partition(sets=((0, 1),))
-    uneven = glm.LocalWeights(p, (np.array([0.7, 0.3]),))
-    noise = NoiseModel.iid(2, 0.1)
-    with pytest.raises(ValueError, match="uniform weights"):
-        glm.expected_bound(0.5, p, uneven, noise, iid_shortcut=True)
-    w = glm.make_weights("uniform", p)
-    varied = NoiseModel(sigma=np.array([0.1, 0.2]))
-    with pytest.raises(ValueError, match="constant sigma"):
-        glm.expected_bound(0.5, p, w, varied, iid_shortcut=True)
-
-
-def test_expected_bound_envelope_term():
+def test_expected_report_envelope_term():
     p = Partition(sets=((0, 1), (2, 3)))
     w = glm.make_weights("uniform", p)
     noise = NoiseModel.iid(4, 0.05)
-    leading = glm.expected_bound(0.5, p, w, noise)
-    at_k = glm.expected_bound(0.5, p, w, noise, k=2, norm_f=1.5)
+    rep = glm.expected_report(0.5, w, noise, 2, norm_f=1.5)
     envelope = 0.5**3 * (1.5 + math.sqrt(4 * 0.05**2))
-    assert at_k == pytest.approx(leading + envelope, rel=1e-12)
+    assert rep.bound_at_k[2] == pytest.approx(rep.asymptotic_bound + envelope,
+                                              rel=1e-12)
 
 
 def test_realized_report_curve():
@@ -131,24 +120,27 @@ def test_realized_report_curve():
     assert np.all(np.diff(rep.bound_at_k) <= 0.0)  # nonincreasing
     assert rep.bound_at_k[-1] == pytest.approx(rep.asymptotic_bound, abs=1e-9)
     for k in (0, 5, 30):
-        assert rep.bound_at_k[k] == pytest.approx(
-            glm.realized_bound(0.5, p, np.array([0.05]), 1.0, 0.01, k), rel=1e-12
-        )
+        assert rep.bound_at_k[k] == pytest.approx(0.2 + 0.5 ** (k + 1) * 1.01,
+                                                  rel=1e-12)
 
 
-def test_expected_report_matches_expected_bound():
+def test_expected_report_curve():
     p = Partition(sets=((0, 1), (2, 3), (4, 5)))
     w = glm.make_weights("uniform", p)
     noise = NoiseModel.iid(6, 0.01)
-    rep = glm.expected_report(0.4, p, w, noise, n_iterations=20, norm_f=1.0)
+    rep = glm.expected_report(0.4, w, noise, n_iterations=20, norm_f=1.0)
     assert rep.variant == "per-vertex-gaussian"
+    assert rep.bound_at_k.shape == (21,)
+    leading = 3 * 0.01 * HALF_NORMAL / 0.6
     for k in (0, 7, 20):
         assert rep.bound_at_k[k] == pytest.approx(
-            glm.expected_bound(0.4, p, w, noise, k=k, norm_f=1.0), rel=1e-12
+            leading + 0.4 ** (k + 1) * (1.0 + math.sqrt(6) * 0.01), rel=1e-12
         )
-    iid_rep = glm.expected_report(0.4, p, w, noise, n_iterations=5, iid_shortcut=True)
-    assert iid_rep.variant == "iid"
-    assert iid_rep.asymptotic_bound == pytest.approx(rep.asymptotic_bound, rel=1e-12)
+    # unequal sets under varied sigma
+    p2 = Partition(sets=((0,), (1, 2, 3)))
+    noise = NoiseModel(sigma=np.array([0.1, 0.2, 0.3, 0.4]))
+    rep = glm.expected_report(0.5, glm.make_weights("uniform", p2), noise, 0)
+    assert rep.asymptotic_bound == pytest.approx(0.6557216947749475, rel=1e-12)
 
 
 def test_report_rejects_bad_args():
@@ -159,7 +151,21 @@ def test_report_rejects_bad_args():
     with pytest.raises(ValueError):
         glm.realized_report(0.5, p, np.zeros(1), 1.0, 0.0, -1)
     with pytest.raises(ValueError):
-        glm.expected_report(0.5, p, w, NoiseModel.iid(2, 0.1), -2)
+        glm.expected_report(0.5, w, NoiseModel.iid(2, 0.1), -2)
+
+
+def test_report_iteration_count_must_be_an_integer():
+    # np.arange would turn a float count into ceil(count) + 1 entries and
+    # fail on NaN with a message that names no argument
+    p = Partition(sets=((0,),))
+    w = glm.make_weights("uniform", p)
+    for bad in (2.5, 3.0, math.nan, "3"):
+        with pytest.raises(TypeError):
+            glm.realized_report(0.5, p, np.ones(1), 1.0, 1.0, bad)
+        with pytest.raises(TypeError):
+            glm.expected_report(0.5, w, NoiseModel.iid(1, 0.1), bad)
+    rep = glm.realized_report(0.5, p, np.ones(1), 1.0, 1.0, np.int64(3))
+    assert rep.bound_at_k.shape == (4,)
 
 
 def test_realized_bound_dominates_error(grid20, grid20_pairs):
@@ -187,17 +193,3 @@ def test_realized_bound_dominates_error(grid20, grid20_pairs):
             n_iterations=40,
         )
         assert np.all(run.error_trace <= rep.bound_at_k + 1e-12)
-
-
-def test_expected_bound_rejects_weights_of_another_partition():
-    p1 = Partition(sets=((0, 1, 2), (3,)))
-    p2 = Partition(sets=((0,), (1, 2, 3)))
-    w2 = glm.make_weights("uniform", p2)
-    noise = NoiseModel(sigma=np.array([0.1, 0.2, 0.3, 0.4]))
-    with pytest.raises(ValueError, match="weights belong to a different partition"):
-        glm.expected_bound(0.5, p1, w2, noise)
-    with pytest.raises(ValueError, match="weights belong to a different partition"):
-        glm.expected_report(0.5, p1, w2, noise, 3)
-    assert glm.expected_bound(0.5, p2, w2, noise) == pytest.approx(
-        0.6557216947749475, rel=1e-12
-    )

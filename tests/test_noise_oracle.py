@@ -1,15 +1,17 @@
-"""The error bounds against the closed forms they replaced.
+"""The error-bound reports against the closed forms they replaced.
 
 ``_oracle_realized_bound`` and ``_oracle_expected_bound`` are the package's
-former implementations of :func:`graphlmr.realized_bound` and
-:func:`graphlmr.expected_bound`, with their ``_check_gamma`` helper and
-half-normal constant, kept unchanged apart from their names and the
-``glm.`` prefix on the package functions they call.  Each writes the bound
-n_tilde / (1 - gamma) + gamma^(k+1) * envelope out in full; the expected one
-also keeps the iid shortcut |I| sigma sqrt(2/pi) / (1 - gamma).  The package
-now reads every bound off one report curve, so on valid input the two must
-agree to rounding, and on input with one invalid argument they must raise
-the same exception with the same message.
+former ``realized_bound`` and ``expected_bound`` functions, with their
+``_check_gamma`` helper and half-normal constant, kept unchanged apart from
+their names and the ``glm.`` prefix on the package functions they call.
+Each writes the bound n_tilde / (1 - gamma) + gamma^(k+1) * envelope out in
+full; the expected one also keeps the iid shortcut
+|I| sigma sqrt(2/pi) / (1 - gamma).  The package reads every bound off one
+report curve: entry k of :func:`graphlmr.realized_report` or
+:func:`graphlmr.expected_report`, or its ``asymptotic_bound`` for the
+oracle's ``k=None``.  On valid input the two must agree to rounding, and on
+input with one invalid argument they must raise the same exception with the
+same message, the report naming the oracle's ``k`` ``n_iterations``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphlmr as glm
-from graphlmr import LocalWeights, NoiseModel, Partition
+from graphlmr import NoiseModel, Partition
 
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -131,44 +133,60 @@ def _assert_same(new, old):
 # Tests
 
 
+def _realized_entry(gamma, partition, noises, norm_f, norm_n, k):
+    """The oracle's ``realized_bound`` read off the package's report."""
+    report = glm.realized_report(gamma, partition, noises, norm_f, norm_n, k)
+    return float(report.bound_at_k[k])
+
+
+def _expected_entry(gamma, weights, noise, k=None, *, norm_f=1.0):
+    """The oracle's ``expected_bound`` read off the package's report."""
+    report = glm.expected_report(
+        gamma, weights, noise, 0 if k is None else k, norm_f=norm_f
+    )
+    return report.asymptotic_bound if k is None else float(report.bound_at_k[k])
+
+
+def _renamed(outcome):
+    """An oracle outcome with the iteration count named as the report names it."""
+    if outcome == (ValueError, "k must be nonnegative"):
+        return ValueError, "n_iterations must be nonnegative"
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(setup=_setups(), gamma=_gammas, k=_ks, norm_f=_norms, norm_n=_norms,
        iid=st.booleans())
-def test_bounds_and_reports_match_closed_forms(setup, gamma, k, norm_f, norm_n, iid):
+def test_reports_match_closed_forms(setup, gamma, k, norm_f, norm_n, iid):
     partition, weights, noise, noises = setup
 
-    realized = glm.realized_bound(gamma, partition, noises, norm_f, norm_n, k)
-    _assert_same(
-        realized, _oracle_realized_bound(gamma, partition, noises, norm_f, norm_n, k)
-    )
     report = glm.realized_report(gamma, partition, noises, norm_f, norm_n, k)
     assert report.bound_at_k.shape == (k + 1,)
+    _assert_same(
+        float(report.bound_at_k[k]),
+        _oracle_realized_bound(gamma, partition, noises, norm_f, norm_n, k),
+    )
     for j in range(k + 1):
-        assert report.bound_at_k[j] == glm.realized_bound(
+        assert report.bound_at_k[j] == _realized_entry(
             gamma, partition, noises, norm_f, norm_n, j
         )
 
-    kwargs = dict(norm_f=norm_f, iid_shortcut=iid)
-    for at in (None, k):
-        _assert_same(
-            _outcome(glm.expected_bound, gamma, partition, weights, noise, at, **kwargs),
-            _outcome(_oracle_expected_bound, gamma, partition, weights, noise, at,
-                     **kwargs),
-        )
-    rep = _outcome(glm.expected_report, gamma, partition, weights, noise, k, **kwargs)
-    if isinstance(rep, tuple):
-        return  # iid preconditions not met; the message was compared above
-    assert rep.variant == ("iid" if iid else "per-vertex-gaussian")
-    if iid:  # the shortcut only checks; its curve is the general one
-        general = glm.expected_report(gamma, partition, weights, noise, k,
-                                      norm_f=norm_f)
-        assert np.array_equal(rep.bound_at_k, general.bound_at_k)
-    assert rep.asymptotic_bound == glm.expected_bound(
-        gamma, partition, weights, noise, **kwargs
+    rep = glm.expected_report(gamma, weights, noise, k, norm_f=norm_f)
+    assert rep.variant == "per-vertex-gaussian"
+    for at, new in ((None, rep.asymptotic_bound), (k, float(rep.bound_at_k[k]))):
+        _assert_same(new, _oracle_expected_bound(gamma, partition, weights, noise,
+                                                 at, norm_f=norm_f))
+        if iid:  # the iid closed form, where its preconditions hold
+            closed = _outcome(_oracle_expected_bound, gamma, partition, weights,
+                              noise, at, norm_f=norm_f, iid_shortcut=True)
+            if not isinstance(closed, tuple):
+                _assert_same(new, closed)
+    assert rep.asymptotic_bound == _expected_entry(
+        gamma, weights, noise, norm_f=norm_f
     )
     for j in range(k + 1):
-        assert rep.bound_at_k[j] == glm.expected_bound(
-            gamma, partition, weights, noise, j, **kwargs
+        assert rep.bound_at_k[j] == _expected_entry(
+            gamma, weights, noise, j, norm_f=norm_f
         )
 
 
@@ -189,10 +207,10 @@ def test_one_invalid_argument_raises_as_the_closed_forms(
     if iid:  # start from valid iid input: constant sigma, uniform weights
         noise = NoiseModel.iid(n, 0.1)
         weights = glm.make_weights("uniform", partition)
+    # the iid closed form never read sigma per member, so it accepted a short
+    # noise model (see the test below)
     broken = data.draw(st.sampled_from(
-        ["gamma", "k", "noises"]
-        + (["empty noise model", "varied sigma", "perturbed weights"] if iid
-           else ["short noise model"])
+        ["gamma", "k", "noises"] + ([] if iid else ["short noise model"])
     ))
     if broken == "gamma":
         gamma = data.draw(_bad_gammas)
@@ -201,45 +219,37 @@ def test_one_invalid_argument_raises_as_the_closed_forms(
     elif broken == "noises":
         length = data.draw(st.integers(0, 8).filter(lambda m: m != partition.n_sets))
         noises = np.zeros(length)
-    elif broken == "short noise model":
+    else:
         noise = NoiseModel(sigma=noise.sigma[: data.draw(st.integers(0, n - 1))])
-    elif broken == "empty noise model":
-        noise = NoiseModel(sigma=np.zeros(0))
-    elif broken == "varied sigma":
-        noise = NoiseModel(sigma=0.1 + np.arange(n) * 0.01)
-    else:  # every set has two or more members, so its first vector is not uniform
-        flat = weights.flat_values().copy()
-        flat[0] += data.draw(st.floats(min_value=1e-9, max_value=1.0))
-        weights = LocalWeights.from_flat(partition, flat)
 
-    calls = [(glm.realized_bound, _oracle_realized_bound,
-              (gamma, partition, noises, norm_f, 0.0, k), {})]
+    outcomes = [(
+        _outcome(_realized_entry, gamma, partition, noises, norm_f, 0.0, k),
+        _outcome(_oracle_realized_bound, gamma, partition, noises, norm_f, 0.0, k),
+    )]
     for at in (None, k):
-        calls.append((glm.expected_bound, _oracle_expected_bound,
-                      (gamma, partition, weights, noise, at),
-                      dict(norm_f=norm_f, iid_shortcut=iid)))
-    raised = 0
-    for new_fn, old_fn, args, kwargs in calls:
-        old = _outcome(old_fn, *args, **kwargs)
-        _assert_same(_outcome(new_fn, *args, **kwargs), old)
-        raised += isinstance(old, tuple)
-    assert raised, broken
+        outcomes.append((
+            _outcome(_expected_entry, gamma, weights, noise, at, norm_f=norm_f),
+            _outcome(_oracle_expected_bound, gamma, partition, weights, noise, at,
+                     norm_f=norm_f, iid_shortcut=iid),
+        ))
+    for new, old in outcomes:
+        _assert_same(new, _renamed(old))
+    assert any(isinstance(old, tuple) for _, old in outcomes), broken
 
 
-def test_iid_shortcut_requires_noise_on_every_member():
+def test_iid_closed_form_needs_noise_on_every_member():
     # the closed-form shortcut never read sigma per member, so it accepted a
     # noise model shorter than the partition; the general formula does not
     p = Partition(sets=((0, 1), (2, 3)))
     w = glm.make_weights("uniform", p)
     short = NoiseModel.iid(3, 0.1)
     assert _oracle_expected_bound(0.5, p, w, short, iid_shortcut=True) > 0.0
-    for iid in (False, True):
-        assert _outcome(glm.expected_bound, 0.5, p, w, short, iid_shortcut=iid) == (
-            ValueError, "noise model shorter than the partition's vertex range"
-        )
+    assert _outcome(glm.expected_report, 0.5, w, short, 0) == (
+        ValueError, "noise model shorter than the partition's vertex range"
+    )
 
 
-def test_expected_bound_never_squares_sigma():
+def test_expected_report_never_squares_sigma():
     # sigma^2 underflows to 0 at 1e-200 and overflows to inf at 1e160
     p = Partition(sets=((0, 1), (2, 3)))
     w = glm.make_weights("uniform", p)
@@ -248,8 +258,6 @@ def test_expected_bound_never_squares_sigma():
         closed = _oracle_expected_bound(0.5, p, w, noise, iid_shortcut=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for iid in (False, True):
-                value = glm.expected_bound(0.5, p, w, noise, iid_shortcut=iid)
-                assert math.isclose(value, closed, rel_tol=1e-12), (sigma, iid)
-                assert math.isfinite(
-                    glm.expected_bound(0.5, p, w, noise, 0, iid_shortcut=iid))
+            report = glm.expected_report(0.5, w, noise, 0)
+        assert math.isclose(report.asymptotic_bound, closed, rel_tol=1e-12), sigma
+        assert math.isfinite(report.bound_at_k[0])

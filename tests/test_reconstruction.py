@@ -333,12 +333,12 @@ def test_one_measurement_determines_a_one_dimensional_band_only():
     # rank, and the sweep reaches the fixed point in one step
     op = glm.BandOperator(basis, 0.4, p)
     assert np.linalg.matrix_rank(op.measurement_matrix(w)) == 1
-    assert op.contraction(op.gain(w)) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert op.contractions([op.gain(w)])[0] == pytest.approx((0.0, 0.0), abs=1e-12)
     # ...but not a two-dimensional band: the unmeasured direction is a fixed
     # vector of I - M, so the iteration cannot contract it
     op = glm.BandOperator(basis, 2.1, p)
     assert op.measurement_matrix(w).shape == (1, 2)
-    norm, radius = op.contraction(op.gain(w))
+    [(norm, radius)] = op.contractions([op.gain(w)])
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert radius == pytest.approx(1.0, abs=1e-12)
 
@@ -362,7 +362,7 @@ def test_empty_band_contraction_and_uniqueness():
     w = glm.make_weights("uniform", p)
     op = glm.BandOperator(basis, 0.5, p)
     assert op.ub.shape == (2, 0)
-    assert op.contraction(op.gain(w)) == (0.0, 0.0)
+    assert op.contractions([op.gain(w)]) == [(0.0, 0.0)]
     # the measurement map has no column, so it is trivially of full rank
     assert op.measurement_matrix(w).shape == (1, 0)
 
@@ -382,4 +382,4 @@ def test_contractions_stack_every_gain_bit_for_bit(rgg300, rgg300_sets3):
                  for m in g.reshape(-1, *eye.shape)))
             for g in gains]
     assert op.contractions(gains) == want
-    assert op.contraction(gains[1]) == want[1]
+    assert op.contractions([gains[1]]) == [want[1]]
