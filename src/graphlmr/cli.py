@@ -94,7 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_report_meta(report, meta_path)
     print(f"{cfg.name}: |I| = {report.n_sets} sets, omega = {report.omega:.6g}, "
           f"C_max = {report.c_max:.6g}, gamma = {report.gamma:.6g}")
-    if report.gamma_warning:
+    if report.gamma >= 1.0:
         print("warning: gamma >= 1, no convergence guarantee", file=sys.stderr)
     for scheme in report.schemes:
         if report.spectral_radius[scheme] >= 1.0:
@@ -103,8 +103,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     for scheme in report.schemes:
         print(f"  {scheme}: steady-state relative error "
-              f"{_floored(report.steady_state_mean[scheme])} "
-              f"(std {_floored(report.steady_state_std[scheme])})")
+              f"{_floored(report.mean_rel_error[scheme][-1])} "
+              f"(std {_floored(report.std_rel_error[scheme][-1])})")
     print(f"wrote {csv_path} and {meta_path}")
     return 0
 

@@ -113,10 +113,12 @@ class ExperimentConfig:
 class ExperimentReport:
     """Aggregated curves plus the resolved run parameters.
 
-    ``mean_rel_error[scheme][k]`` averages the relative error after k
-    iterations over all trials (k = 0 is the initial estimate); all curves
-    share length ``max_iterations + 1``.  ``steady_errors[scheme]`` keeps the
-    per-trial final errors for significance testing.  ``contraction`` and
+    ``band_dim`` counts the eigenvalues in the band [0, omega]; a ``gamma``
+    >= 1 gives no convergence guarantee.  ``mean_rel_error[scheme][k]``
+    averages the relative error after k iterations over all trials (k = 0 is
+    the initial estimate); all curves share length ``max_iterations + 1`` and
+    end in the steady state.  ``steady_errors[scheme]`` keeps the per-trial
+    final errors for significance testing.  ``contraction`` and
     ``spectral_radius`` hold, per scheme, the spectral norm and the spectral
     radius of the sweep's iteration matrix I - M (the largest over trials
     for per-trial weights); a radius >= 1 means the iteration diverges.
@@ -127,16 +129,14 @@ class ExperimentReport:
 
     config: ExperimentConfig
     omega: float
+    band_dim: int
     n_max: int
     n_sets: int
     c_max: float
     gamma: float
-    gamma_warning: bool
     schemes: tuple[str, ...]
     mean_rel_error: dict[str, np.ndarray]
     std_rel_error: dict[str, np.ndarray]
-    steady_state_mean: dict[str, float]
-    steady_state_std: dict[str, float]
     steady_errors: dict[str, np.ndarray]
     contraction: dict[str, float]
     spectral_radius: dict[str, float]
@@ -478,8 +478,12 @@ def _resolve_omega(cfg: ExperimentConfig, basis: SpectralBasis) -> float:
     if k >= vals.size:
         return float(vals[-1])
     # midpoint between the last in-band and first out-of-band eigenvalue,
-    # so the inclusive cutoff cannot sit on either
-    return float(0.5 * (vals[k - 1] + vals[k]))
+    # so the inclusive cutoff cannot sit on either unless they are tied
+    omega = float(0.5 * (vals[k - 1] + vals[k]))
+    if (got := basis.band_dim(omega)) != k:
+        raise ConfigError(f"band_dim = {k} splits tied eigenvalues lambda_{k} .. "
+                          f"lambda_{got} = {vals[k - 1:got].tolist()}")
+    return omega
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -513,10 +517,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     # one column per trial; every draw keeps its own seeded stream and only
     # the draws run per trial
-    offband = cfg.offband_energy if cfg.offband_energy > 0 else None
-    truth = random_bandlimited_block(
-        basis, omega, _trial_rngs(cfg.seed, _STREAM_SIGNAL, range(cfg.trials)), offband
-    )
+    truth = random_bandlimited_block(basis, omega, _trial_rngs(
+        cfg.seed, _STREAM_SIGNAL, range(cfg.trials)), cfg.offband_energy)
     noisy = np.empty((cfg.trials, graph.n_vertices))  # row t: trial t's noise
     for rng, row in zip(_trial_rngs(cfg.seed, _STREAM_NOISE, range(cfg.trials)), noisy):
         rng.standard_normal(out=row)
@@ -547,16 +549,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=cfg,
         omega=omega,
+        band_dim=basis.band_dim(omega),
         n_max=n_max,
         n_sets=partition.n_sets,
         c_max=metrics.c_max,
         gamma=gamma,
-        gamma_warning=gamma >= 1.0,
         schemes=cfg.schemes,
         mean_rel_error={s: curves[s].mean(axis=0) for s in cfg.schemes},
         std_rel_error={s: curves[s].std(axis=0) for s in cfg.schemes},
-        steady_state_mean={s: float(curves[s][:, -1].mean()) for s in cfg.schemes},
-        steady_state_std={s: float(curves[s][:, -1].std()) for s in cfg.schemes},
         steady_errors={s: curves[s][:, -1].copy() for s in cfg.schemes},
         contraction={s: factors[s][0] for s in cfg.schemes},
         spectral_radius={s: factors[s][1] for s in cfg.schemes},
@@ -596,16 +596,17 @@ def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
         "config": asdict(report.config),
         "resolved": {
             "omega": report.omega,
+            "band_dim": report.band_dim,
             "n_max": report.n_max,
             "n_sets": report.n_sets,
             "c_max": report.c_max,
             "gamma": report.gamma,
-            "gamma_warning": report.gamma_warning,
+            "gamma_warning": report.gamma >= 1.0,
         },
         "steady_state": {
             s: {
-                "mean": report.steady_state_mean[s],
-                "std": report.steady_state_std[s],
+                "mean": float(report.mean_rel_error[s][-1]),
+                "std": float(report.std_rel_error[s][-1]),
             }
             for s in report.schemes
         },

@@ -11,6 +11,7 @@ weights this collapses to |I| sigma sqrt(2/pi) / (1 - gamma).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ __all__ = [
     "expected_report",
 ]
 
+# E|n_i| / sigma_i for a zero-mean Gaussian n_i: its absolute value is half-normal
+_HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
 
 def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """One independent zero-mean Gaussian draw per vertex, scaled by sigma(v)."""
@@ -40,6 +44,8 @@ def noise_tilde(partition: Partition, equivalent_noises: np.ndarray) -> float:
         raise ValueError(
             f"expected {partition.n_sets} per-set noises, got shape {n_i.shape}"
         )
+    if not np.isfinite(n_i).all():
+        raise ValueError("equivalent_noises must be finite")
     return float(np.sqrt(partition.sizes()) @ np.abs(n_i))
 
 
@@ -58,6 +64,11 @@ class ErrorBoundReport:
     bound_at_k: np.ndarray
     asymptotic_bound: float
     variant: str
+
+
+def _check_norm(value: float, name: str) -> None:
+    if not value >= 0:  # NaN fails too
+        raise ValueError(f"{name} must be nonnegative")
 
 
 def _report(
@@ -94,6 +105,8 @@ def realized_report(
     n_tilde is built from the realized per-set noises <n, phi_i> and the
     envelope is norm_f + norm_n.
     """
+    _check_norm(norm_f, "norm_f")
+    _check_norm(norm_n, "norm_n")
     nt = noise_tilde(partition, equivalent_noises)
     return _report(gamma, nt, norm_f + norm_n, n_iterations, "realized-noise")
 
@@ -112,7 +125,8 @@ def expected_report(
     ``weights.partition``, and the envelope is norm_f + E||n||, approximating
     E||n|| by sqrt(sum_v sigma^2(v)).
     """
-    eq = equivalent_noise_sigma(weights, noise)
-    nt = float(np.sqrt(weights.partition.sizes()) @ eq.expected_abs)
+    _check_norm(norm_f, "norm_f")
+    expected_abs = equivalent_noise_sigma(weights, noise) * _HALF_NORMAL_MEAN
+    nt = noise_tilde(weights.partition, expected_abs)
     envelope = norm_f + float(np.hypot.reduce(noise.sigma))
     return _report(gamma, nt, envelope, n_iterations, "per-vertex-gaussian")

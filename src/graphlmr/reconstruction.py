@@ -77,8 +77,8 @@ class ReconstructionRun:
     ``increment_trace[k]`` is the correction norm applied at iteration k
     (entry 0 is ||f(0)||); ``error_trace`` aligns with it when truth was
     tracked, else ``None``.  ``gamma`` is the a-priori contraction factor
-    when the caller supplied the constant to compute it, else ``None``;
-    ``gamma_warning`` flags gamma >= 1 (no convergence guarantee).
+    when the caller supplied the constant to compute it, else ``None``; a
+    gamma >= 1 gives no convergence guarantee.
     ``stop_reason`` is ``"converged"`` or ``"max_iterations"``.
     """
 
@@ -87,7 +87,6 @@ class ReconstructionRun:
     increment_trace: np.ndarray
     error_trace: np.ndarray | None
     gamma: float | None
-    gamma_warning: bool
     stop_reason: str
 
 
@@ -128,7 +127,7 @@ class BandOperator:
         if isinstance(weights, LocalWeights):
             if weights.partition.sets != self.partition.sets:
                 raise ValueError("weights belong to a different partition")
-            return weights.flat_values()
+            return weights.flat
         if weights.ndim != 2 or weights.shape[1] != self._rows.shape[0]:
             raise ValueError(
                 f"per-trial weights must be (T, {self._rows.shape[0]}), "
@@ -243,8 +242,8 @@ def ilmr(
 
     ``measurements[i]`` is the observed <f, phi_i> for set i.  When ``c_max``
     (the partition's max sqrt(|N| D) score) is supplied, the run reports the
-    a-priori contraction factor gamma = c_max * sqrt(omega) and warns when it
-    is >= 1; the iteration itself runs either way.
+    a-priori contraction factor gamma = c_max * sqrt(omega); the iteration
+    itself runs whatever gamma is.
     """
     m = np.asarray(measurements, dtype=np.float64)
     if m.shape != (partition.n_sets,):
@@ -266,7 +265,6 @@ def ilmr(
         increment_trace=out.increments[:, 0],
         error_trace=out.errors[:, 0] if out.errors is not None else None,
         gamma=gamma,
-        gamma_warning=(gamma is not None and gamma >= 1.0),
         stop_reason=out.stop_reason,
     )
 
@@ -315,7 +313,7 @@ def ipr(
     if outside.size:
         i = int(outside[0])
         raise ValueError(f"set {i}: center {partition.centers[i]} is not a member")
-    weights = LocalWeights.from_flat(partition, at_center)
+    weights = LocalWeights(partition, at_center)
     return ilmr(decimated, partition, weights, basis, config, c_max=q_max)
 
 

@@ -8,10 +8,9 @@ to minimize the variance of the measurement noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "WEIGHT_SCHEMES",
     "NoiseModel",
     "LocalWeights",
-    "EquivalentNoise",
     "make_weights",
     "draw_weights",
     "measure",
@@ -55,63 +53,40 @@ class NoiseModel:
         return NoiseModel(sigma=np.full(n_vertices, float(sigma)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LocalWeights:
-    """Convex weights for every set, one array in partition member order;
+    """Convex weights for every set, ``flat`` in partition member order;
     ``values[i][j]``, a view of it, weights vertex ``partition.sets[i][j]``.
 
-    Both constructors renormalize every vector to sum 1 and reject negative
-    entries or all-zero vectors; vectors already summing to 1 pass through
-    bitwise so round-trips are exact.
+    The constructor copies ``flat``, renormalizes every set to sum 1 and
+    rejects negative entries or all-zero sets; sets already summing to 1
+    pass through bitwise so round-trips are exact.
     """
 
     partition: Partition
-    _flat: np.ndarray
+    flat: np.ndarray
 
-    def __init__(self, partition: Partition, values: Sequence[np.ndarray]):
-        sets = partition.sets
-        if len(values) != len(sets):
-            raise ValueError(f"{len(values)} weight vectors for {len(sets)} sets")
-        for i, (s, w) in enumerate(zip(sets, values)):
-            if np.shape(w) != (len(s),):
-                raise ValueError(
-                    f"set {i}: expected {len(s)} weights, got shape {np.shape(w)}"
-                )
-        self._store(partition, np.concatenate(values) if len(values) else np.zeros(0))
-
-    @classmethod
-    def from_flat(cls, partition: Partition, flat: np.ndarray) -> "LocalWeights":
-        """Weights given as one array in partition member order."""
-        weights = cls.__new__(cls)
-        weights._store(partition, flat)
-        return weights
-
-    def _store(self, partition: Partition, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        verts, _ = partition.member_arrays()
+    def __post_init__(self):
+        flat = np.asarray(self.flat, dtype=np.float64)
+        verts, _ = self.partition.member_arrays()
         if flat.shape != verts.shape:
             raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
-        flat = _normalize(partition, flat.copy())
+        flat = _normalize(self.partition, flat.copy())
         flat.flags.writeable = False
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "flat", flat)
 
     @cached_property
     def values(self) -> tuple[np.ndarray, ...]:
         """One read-only view of the flat array per set."""
         starts, sizes = self.partition.set_starts(), self.partition.sizes()
-        return tuple(self._flat[a:a + m] for a, m in zip(starts, sizes))
-
-    def flat_values(self) -> np.ndarray:
-        """Weights concatenated in partition member order."""
-        return self._flat
+        return tuple(self.flat[a:a + m] for a, m in zip(starts, sizes))
 
     def to_matrix(self, n_vertices: int) -> np.ndarray:
         """Dense (n_sets, n_vertices) matrix whose rows are the weight vectors."""
         self.partition.check_range(n_vertices, "matrix")
         mat = np.zeros((self.partition.n_sets, n_vertices))
         verts, ids = self.partition.member_arrays()
-        mat[ids, verts] = self._flat
+        mat[ids, verts] = self.flat
         return mat
 
 
@@ -180,7 +155,7 @@ def make_weights(
     if scheme in ("random", "dirac"):
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")
-        return LocalWeights.from_flat(partition, _draw(scheme, partition, [rng])[0])
+        return LocalWeights(partition, _draw(scheme, partition, [rng])[0])
     if scheme in ("optimal", "optimal_dirac"):
         if noise is None:
             raise ValueError(f"scheme {scheme!r} requires a noise model")
@@ -197,7 +172,7 @@ def make_weights(
         sigma = partition.gather(noise.sigma, "noise model")
         w = np.zeros(verts.size)
         w[np.lexsort((verts, sigma, ids))[partition.set_starts()]] = 1.0
-    return LocalWeights.from_flat(partition, w)
+    return LocalWeights(partition, w)
 
 
 def draw_weights(
@@ -205,7 +180,7 @@ def draw_weights(
 ) -> np.ndarray:
     """``random`` or ``dirac`` weights for many trials, (T, |V|) in member order.
 
-    Row t equals ``make_weights(scheme, partition, rng=rngs[t]).flat_values()``
+    Row t equals ``make_weights(scheme, partition, rng=rngs[t]).flat``
     bit for bit and leaves ``rngs[t]`` in the same state; only the draws run
     per trial, the normalization is one pass over the block.  A ``random``
     set whose draws sum to zero raises rather than being redrawn.
@@ -223,30 +198,19 @@ def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     exactly (each sum has a single term).
     """
     f = np.asarray(signal, dtype=np.float64)
-    w = weights.flat_values().reshape((-1,) + (1,) * (f.ndim - 1))
+    w = weights.flat.reshape((-1,) + (1,) * (f.ndim - 1))
     return weights.partition.sum_by_set(weights.partition.gather(f, "signal") * w)
 
 
-class EquivalentNoise(NamedTuple):
-    """Per-set measurement-noise scale: sigma_i^2 = sum_v sigma^2(v) phi_i^2(v)."""
-
-    sigma: np.ndarray
-    expected_abs: np.ndarray
-
-
-def equivalent_noise_sigma(
-    weights: LocalWeights, noise: NoiseModel
-) -> EquivalentNoise:
-    """Standard deviation of <noise, phi_i> per set, and E|n_i|.
+def equivalent_noise_sigma(weights: LocalWeights, noise: NoiseModel) -> np.ndarray:
+    """Standard deviation sigma_i of the measurement noise <noise, phi_i> per set.
 
     The measurement noise n_i = <n, phi_i> is zero-mean Gaussian with
-    variance sum_v sigma^2(v) phi_i^2(v); its absolute value is half-normal,
-    so E|n_i| = sigma_i * sqrt(2/pi).
+    variance sigma_i^2 = sum_v sigma^2(v) phi_i^2(v).
     """
     partition = weights.partition
     # hypot never squares, so sigma beyond 1e+-154 neither under- nor overflows
-    sig = np.hypot.reduceat(
-        partition.gather(noise.sigma, "noise model") * weights.flat_values(),
+    return np.hypot.reduceat(
+        partition.gather(noise.sigma, "noise model") * weights.flat,
         partition.set_starts(),
     )
-    return EquivalentNoise(sigma=sig, expected_abs=sig * math.sqrt(2.0 / math.pi))

@@ -190,15 +190,15 @@ def random_bandlimited(
     omega: float,
     rng: np.random.Generator,
     norm: float = 1.0,
-    offband_energy: float | None = None,
+    offband_energy: float = 0.0,
 ) -> np.ndarray:
     """Random signal with prescribed 2-norm, bandlimited to ``[0, omega]``.
 
     In-band coefficients are iid standard normal, then rescaled.  With
     ``offband_energy = e`` in ``[0, 1)`` the result carries energy fraction
     ``e`` in the orthogonal complement (an independent unit-energy draw),
-    so ``||f||^2 = norm^2`` still holds exactly; ``e = 0`` or ``None`` means
-    strictly bandlimited.
+    so ``||f||^2 = norm^2`` still holds exactly; ``e = 0`` means strictly
+    bandlimited.
     """
     if not norm >= 0:  # NaN fails too
         raise ValueError("norm must be nonnegative")
@@ -209,7 +209,7 @@ def random_bandlimited_block(
     basis: SpectralBasis,
     omega: float,
     rngs: Sequence[np.random.Generator],
-    offband_energy: float | None = None,
+    offband_energy: float = 0.0,
 ) -> np.ndarray:
     """Unit-norm :func:`random_bandlimited` signals, one column per generator.
 
@@ -221,13 +221,13 @@ def random_bandlimited_block(
     k_in = basis.band_dim(omega)
     if k_in == 0:
         raise ValueError("band is empty; no eigenvalues at or below the cutoff")
-    if offband_energy is None or offband_energy == 0.0:
-        return _unit_columns(basis.eigenvectors[:, :k_in], rngs)
     if not 0.0 <= offband_energy < 1.0:
         raise ValueError("offband_energy must lie in [0, 1)")
-    if k_in == basis.n:
+    if offband_energy > 0.0 and k_in == basis.n:
         raise ValueError("band spans the whole spectrum; no off-band direction")
     inband = _unit_columns(basis.eigenvectors[:, :k_in], rngs)
+    if offband_energy == 0.0:
+        return inband
     offband = _unit_columns(basis.eigenvectors[:, k_in:], rngs)
     return np.sqrt(1.0 - offband_energy) * inband + np.sqrt(offband_energy) * offband
 

@@ -97,7 +97,7 @@ def test_iterate_matches_measurement_space_sweep(per_trial, stop_tolerance):
     observed = truth + 1e-3 * np.random.default_rng(32).standard_normal(truth.shape)
     if per_trial:
         weights = glm.draw_weights("random", partition, rngs)
-        per_column = [glm.LocalWeights.from_flat(partition, w) for w in weights]
+        per_column = [glm.LocalWeights(partition, w) for w in weights]
         a = np.stack([op.measurement_matrix(w) for w in per_column])
         m = np.stack([glm.measure(observed[:, t], w)
                       for t, w in enumerate(per_column)], axis=1)
@@ -146,7 +146,7 @@ def test_run_experiment_matches_dense_oracle(offband):
     op = glm.BandOperator(basis, 0.3, partition)
     for t in range(cfg.trials):
         f = glm.random_bandlimited(basis, 0.3, _rng(9, _STREAM_SIGNAL, t),
-                                   offband_energy=offband or None)
+                                   offband_energy=offband)
         observed = f + glm.sample_noise(model, _rng(9, _STREAM_NOISE, t))
         for j, scheme in enumerate(cfg.schemes):
             weights = glm.make_weights(scheme, partition, noise=model,

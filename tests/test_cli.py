@@ -105,6 +105,18 @@ def test_run_warns_when_the_iteration_diverges(tmp_path, capsys):
     assert meta["iteration"]["uniform"]["spectral_radius"] < 1.0
 
 
+def test_run_band_dim_splitting_tied_eigenvalues_exit_2(tmp_path, capsys):
+    # lambda_2 = lambda_3 on the 8 x 8 grid: no band holds just one of them
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 2"), encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: band_dim = 2 splits tied eigenvalues "
+                          "lambda_2 .. lambda_3 = [")
+    assert not (tmp_path / "cli-check.csv").exists()
+
+
 def test_run_out_dir_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")

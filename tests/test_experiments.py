@@ -11,6 +11,7 @@ import pytest
 
 import graphlmr as glm
 from graphlmr import ConfigError, spectral
+from graphlmr.cli import _floored, main
 from graphlmr.experiments import (
     _KEYS,
     _build_noise_model,
@@ -212,7 +213,7 @@ def test_relative_error():
 
 def test_run_experiment_noise_free_converges():
     report = glm.run_experiment(glm.parse_config(GRID_CFG))
-    assert report.gamma < 1 and not report.gamma_warning
+    assert report.gamma < 1
     for scheme in report.schemes:
         curve = report.mean_rel_error[scheme]
         assert curve.shape == (41,)
@@ -265,16 +266,19 @@ seed = 5
     assert iterations_to(2) < iterations_to(4)
 
 
-def test_gamma_warning_recorded_run_proceeds():
+def test_gamma_warning_recorded_run_proceeds(tmp_path):
     cfg = glm.parse_config(
         "graph = grid\ngraph.rows = 6\ngraph.cols = 6\nomega = 1.5\nn_max = 4\n"
         "schemes = uniform\nnoise = none\ntrials = 2\nmax_iterations = 10\nseed = 0\n"
     )
     report = glm.run_experiment(cfg)
-    assert report.gamma >= 1 and report.gamma_warning
+    assert report.gamma >= 1 and report.mean_rel_error["uniform"].size == 11
+    glm.write_report_meta(report, tmp_path / "meta.json")
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    assert meta["resolved"]["gamma_warning"] is True
 
 
-def test_band_dim_resolution(rgg300):
+def test_band_dim_resolution(rgg300, grid20):
     _, basis = rgg300
     cfg = glm.parse_config(
         "graph = rgg\ngraph.n = 300\ngraph.radius = 0.09\nband_dim = 4\n"
@@ -291,6 +295,14 @@ def test_band_dim_resolution(rgg300):
         "graph = path\ngraph.n = 3\nband_dim = 9\nschemes = uniform\n"
     )
     assert _resolve_omega(cfg2, small) == pytest.approx(small.eigenvalues[-1])
+    # lambda_2 = lambda_3 on a square grid: a cutoff between them keeps both
+    _, grid = grid20
+    tied = ("graph = grid\ngraph.rows = 20\ngraph.cols = 20\nband_dim = {}\n"
+            "schemes = uniform\n")
+    with pytest.raises(ConfigError, match=r"band_dim = 2 splits tied eigenvalues "
+                       r"lambda_2 \.\. lambda_3 = \[0\.0246"):
+        _resolve_omega(glm.parse_config(tied.format(2)), grid)
+    assert grid.band_dim(_resolve_omega(glm.parse_config(tied.format(3)), grid)) == 3
 
 
 def test_nmax_defaults_to_suggestion():
@@ -348,11 +360,12 @@ def test_offband_energy_raises_floor():
     )
     hi = glm.run_experiment(glm.parse_config(base.format(e="1e-2")))
     lo = glm.run_experiment(glm.parse_config(base.format(e="1e-4")))
+    hi, lo = hi.mean_rel_error, lo.mean_rel_error
     for scheme in ("uniform", "dirac"):
-        assert hi.steady_state_mean[scheme] > lo.steady_state_mean[scheme]
+        assert hi[scheme][-1] > lo[scheme][-1]
     # residual out-of-band energy sets the floor near sqrt(e)
-    assert 0.05 < hi.steady_state_mean["uniform"] < 0.3
-    assert hi.steady_state_mean["uniform"] < hi.steady_state_mean["dirac"]
+    assert 0.05 < hi["uniform"][-1] < 0.3
+    assert hi["uniform"][-1] < hi["dirac"][-1]
 
 
 def test_csv_format(tmp_path):
@@ -390,6 +403,32 @@ def test_meta_sidecar(tmp_path):
     for s in report.schemes:
         assert 0.0 <= report.spectral_radius[s] <= report.contraction[s] * (1 + 1e-12)
         assert report.contraction[s] < 1.0
+
+
+@pytest.mark.parametrize("band", ["omega = 0.1", "band_dim = 4"])
+def test_run_outputs_agree(tmp_path, capsys, band):
+    # the meta JSON and the printed steady state are read off the curves,
+    # stopped while they still move
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GRID_CFG.replace("omega = 0.1", band).replace(
+        "noise = none", "noise = iid\nnoise.sigma = 1e-3").replace(
+        "max_iterations = 40", "max_iterations = 4"), encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    meta = json.loads((tmp_path / "grid-small_meta.json").read_text(encoding="utf-8"))
+    csv = (tmp_path / "grid-small.csv").read_text(encoding="utf-8").splitlines()
+    # the last row of each scheme wins
+    last = {s: (float(mean), float(std))
+            for s, _, mean, std in (line.split(",") for line in csv[1:])}
+    for s in ("uniform", "random"):
+        steady = meta["steady_state"][s]
+        assert (steady["mean"], steady["std"]) == last[s]
+        assert (f"  {s}: steady-state relative error {_floored(steady['mean'])} "
+                f"(std {_floored(steady['std'])})") in stdout
+    resolved = meta["resolved"]
+    assert resolved["gamma_warning"] == (resolved["gamma"] >= 1)
+    basis = glm.eigendecompose(glm.build_laplacian(glm.grid_graph(10, 10)))
+    assert resolved["band_dim"] == basis.band_dim(resolved["omega"])
 
 
 @pytest.mark.parametrize("key", [(0,), (1, 103, 5), (7, 105, 99, 2),

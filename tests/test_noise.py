@@ -154,6 +154,37 @@ def test_report_rejects_bad_args():
         glm.expected_report(0.5, w, NoiseModel.iid(2, 0.1), -2)
 
 
+@pytest.mark.parametrize("bad", [-5.0, math.nan])
+def test_realized_report_rejects_bad_norm_f(bad):
+    p = Partition(sets=((0,),))
+    with pytest.raises(ValueError, match="norm_f must be nonnegative"):
+        glm.realized_report(0.5, p, np.ones(1), bad, 1.0, 2)
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan])
+def test_realized_report_rejects_bad_norm_n(bad):
+    p = Partition(sets=((0,),))
+    with pytest.raises(ValueError, match="norm_n must be nonnegative"):
+        glm.realized_report(0.5, p, np.ones(1), 1.0, bad, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_noise_reports_reject_non_finite_per_set_noises(bad):
+    p = Partition(sets=((0,), (1, 2)))
+    noises = np.array([0.1, bad])
+    with pytest.raises(ValueError, match="equivalent_noises must be finite"):
+        glm.noise_tilde(p, noises)
+    with pytest.raises(ValueError, match="equivalent_noises must be finite"):
+        glm.realized_report(0.5, p, noises, 1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("bad", [-3.0, math.nan])
+def test_expected_report_rejects_bad_norm_f(bad):
+    w = glm.make_weights("uniform", Partition(sets=((0, 1),)))
+    with pytest.raises(ValueError, match="norm_f must be nonnegative"):
+        glm.expected_report(0.5, w, NoiseModel.iid(2, 0.1), 2, norm_f=bad)
+
+
 def test_report_iteration_count_must_be_an_integer():
     # np.arange would turn a float count into ceil(count) + 1 entries and
     # fail on NaN with a message that names no argument

@@ -57,14 +57,14 @@ def _oracle_expected_bound(
             raise ValueError("empty noise model")
         if not np.all(sig == sig[0]):
             raise ValueError("iid shortcut requires constant sigma(v)")
-        uniform = glm.make_weights("uniform", weights.partition).flat_values()
-        if not np.allclose(weights.flat_values(), uniform, rtol=0.0, atol=1e-12):
+        uniform = glm.make_weights("uniform", weights.partition).flat
+        if not np.allclose(weights.flat, uniform, rtol=0.0, atol=1e-12):
             raise ValueError("iid shortcut requires uniform weights")
         leading = partition.n_sets * float(sig[0]) * _HALF_NORMAL_MEAN / (1.0 - gamma)
     else:
-        eq = glm.equivalent_noise_sigma(weights, noise)
+        sigma = glm.equivalent_noise_sigma(weights, noise)
         leading = float(
-            np.sqrt(partition.sizes()) @ eq.expected_abs
+            np.sqrt(partition.sizes()) @ (sigma * _HALF_NORMAL_MEAN)
         ) / (1.0 - gamma)
     if k is None:
         return leading

@@ -108,7 +108,6 @@ def test_ilmr_recovers_bandlimited(grid20, grid20_pairs):
         c_max=metrics.c_max,
     )
     assert run.gamma == pytest.approx(gamma)
-    assert not run.gamma_warning
     assert run.error_trace[-1] < 1e-10
     # a priori geometric decay with the initial error as constant
     ks = np.arange(run.error_trace.size)
@@ -123,7 +122,7 @@ def test_ilmr_gamma_warning(grid20, grid20_pairs):
         np.zeros(partition.n_sets), partition, w, basis,
         ReconstructionConfig(omega=2.0, max_iterations=1), c_max=metrics.c_max,
     )
-    assert run.gamma_warning and run.gamma > 1
+    assert run.gamma > 1
 
 
 def test_stop_reasons(grid20, grid20_pairs):
@@ -204,12 +203,8 @@ def test_ilmr_dirac_equals_ipr(grid20):
     rng = np.random.default_rng(21)
     centers = tuple(s[rng.integers(len(s))] for s in partition.sets)
     centered = partition.with_centers(centers)
-    values = []
-    for c, s in zip(centers, partition.sets):
-        vec = np.zeros(len(s))
-        vec[s.index(c)] = 1.0
-        values.append(vec)
-    weights = glm.LocalWeights(partition, tuple(values))
+    one_hot = [np.eye(len(s))[s.index(c)] for c, s in zip(centers, partition.sets)]
+    weights = glm.LocalWeights(partition, np.concatenate(one_hot))
     omega = 0.03
     f = glm.random_bandlimited(basis, omega, rng)
     samples = f[np.array(centers)]
@@ -308,11 +303,11 @@ def test_members_beyond_int64_are_named(big):
     # field to reach the checks of measure and equivalent_noise_sigma
     w = object.__new__(glm.LocalWeights)
     object.__setattr__(w, "partition", p)
-    object.__setattr__(w, "_flat", np.array([0.5, 0.5, 1.0]))
+    object.__setattr__(w, "flat", np.array([0.5, 0.5, 1.0]))
     calls = [
         lambda: p.check_range(3, "signal"),
         lambda: glm.make_weights("uniform", p),
-        lambda: glm.LocalWeights(p, [np.ones(2), np.ones(1)]),
+        lambda: glm.LocalWeights(p, np.ones(3)),
         lambda: glm.measure(np.zeros(3), w),
         lambda: glm.equivalent_noise_sigma(w, glm.NoiseModel.iid(3, 0.1)),
         lambda: glm.BandOperator(basis, 1.0, p),

@@ -89,55 +89,48 @@ def test_unknown_scheme():
 
 
 def test_weights_renormalize_and_validate(pair_partition):
-    w = LocalWeights(pair_partition, (np.array([2.0, 2.0]), np.array([1.0, 3.0])))
-    assert np.allclose(w.values[0], [0.5, 0.5])
-    assert np.allclose(w.values[1], [0.25, 0.75])
-    with pytest.raises(ValueError, match=">= 0"):
-        LocalWeights(pair_partition, (np.array([1.0, -0.1]), np.array([1.0, 1.0])))
-    with pytest.raises(ValueError, match="sum to zero"):
-        LocalWeights(pair_partition, (np.zeros(2), np.array([1.0, 1.0])))
-    with pytest.raises(ValueError, match="weight vectors"):
-        LocalWeights(pair_partition, (np.array([1.0, 1.0]),))
-    with pytest.raises(ValueError, match="expected 2 weights"):
-        LocalWeights(pair_partition, (np.ones(3), np.ones(2)))
-
-
-def test_weights_from_flat_matches_per_set(pair_partition):
     flat = np.array([2.0, 2.0, 1.0, 3.0])
-    w = LocalWeights.from_flat(pair_partition, flat)
-    per_set = LocalWeights(pair_partition, (flat[:2], flat[2:]))
-    assert np.array_equal(w.flat_values(), per_set.flat_values())
-    assert np.array_equal(w.flat_values(), [0.5, 0.5, 0.25, 0.75])
+    w = LocalWeights(pair_partition, flat)
+    assert np.array_equal(w.flat, [0.5, 0.5, 0.25, 0.75])
     assert flat[0] == 2.0  # the input is not normalized in place
+    assert np.array_equal(w.values[0], [0.5, 0.5])
+    assert np.array_equal(w.values[1], [0.25, 0.75])
     for vec in w.values:  # per-set views of the one stored array
-        assert np.shares_memory(vec, w.flat_values()) and not vec.flags.writeable
-    with pytest.raises(ValueError, match="expected 4 weights"):
-        LocalWeights.from_flat(pair_partition, np.ones(3))
+        assert np.shares_memory(vec, w.flat) and not vec.flags.writeable
+    with pytest.raises(ValueError, match="set 0: weights must be finite and >= 0"):
+        LocalWeights(pair_partition, np.array([1.0, -0.1, 1.0, 1.0]))
     with pytest.raises(ValueError, match="set 1: weights must be finite"):
-        LocalWeights.from_flat(pair_partition, np.array([1.0, 1.0, np.nan, 1.0]))
+        LocalWeights(pair_partition, np.array([1.0, 1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="set 0: weights sum to zero"):
+        LocalWeights(pair_partition, np.array([0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="set 1: weights sum to zero"):
-        LocalWeights.from_flat(pair_partition, np.array([1.0, 1.0, 0.0, 0.0]))
+        LocalWeights(pair_partition, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="expected 4 weights"):
+        LocalWeights(pair_partition, np.ones(3))
+    # one vector per set is not a form the constructor takes
+    with pytest.raises(ValueError, match=r"expected 4 weights, got shape \(2, 2\)"):
+        LocalWeights(pair_partition, (np.ones(2), np.ones(2)))
 
 
 def test_weights_round_trip_bitwise(pair_partition):
     w = glm.make_weights("random", pair_partition, rng=np.random.default_rng(9))
-    for back in (LocalWeights(pair_partition, w.values),
-                 LocalWeights.from_flat(pair_partition, w.flat_values())):
-        assert np.array_equal(back.flat_values(), w.flat_values())
+    for back in (LocalWeights(pair_partition, w.flat),
+                 LocalWeights(pair_partition, np.concatenate(w.values))):
+        assert np.array_equal(back.flat, w.flat)
 
 
 def test_weights_summing_to_one_pass_unscaled():
     # within 1e-12 of 1 a vector is kept as given; further off it is rescaled
     near = np.array([0.1, 0.2, 0.7])
     p = Partition(sets=((0, 1, 2),))
-    assert LocalWeights(p, (near,)).flat_values().tolist() == near.tolist()
-    far = LocalWeights(p, (near * 2,)).flat_values()
+    assert LocalWeights(p, near).flat.tolist() == near.tolist()
+    far = LocalWeights(p, near * 2).flat
     assert far.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_weights_may_leave_members_out(pair_partition):
     # a zero weight drops its member from the set's measurement
-    w = LocalWeights(pair_partition, (np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+    w = LocalWeights(pair_partition, np.array([0.0, 1.0, 0.5, 0.5]))
     assert w.to_matrix(4).tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
     assert glm.measure(np.array([5.0, 7.0, 1.0, 3.0]), w).tolist() == [7.0, 2.0]
 
@@ -145,7 +138,7 @@ def test_weights_may_leave_members_out(pair_partition):
 def test_weights_reject_infinite_entries(pair_partition):
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="set 1: weights must be finite"):
-            LocalWeights(pair_partition, (np.ones(2), np.array([1.0, bad])))
+            LocalWeights(pair_partition, np.array([1.0, 1.0, 1.0, bad]))
 
 
 def _per_set_weights(scheme, partition, noise=None, rng=None):
@@ -170,7 +163,7 @@ def _per_set_weights(scheme, partition, noise=None, rng=None):
             w = np.zeros(m)
             w[pick] = 1.0
         values.append(w)
-    return LocalWeights(partition, tuple(values))
+    return LocalWeights(partition, np.concatenate(values))
 
 
 @st.composite
@@ -196,7 +189,7 @@ def test_make_weights_matches_per_set_loop(case, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = glm.make_weights(scheme, partition, noise=noise, rng=rng)
         want = _per_set_weights(scheme, partition, noise=noise, rng=ref_rng)
-        assert np.array_equal(got.flat_values(), want.flat_values()), scheme
+        assert np.array_equal(got.flat, want.flat), scheme
         assert all(np.array_equal(a, b) for a, b in zip(got.values, want.values))
         assert rng.random() == ref_rng.random(), scheme  # same generator state
 
@@ -296,12 +289,10 @@ def test_equivalent_noise_uniform_pair():
     p = Partition(sets=((0, 1),))
     w = glm.make_weights("uniform", p)
     noise = NoiseModel(sigma=np.array([1.0, 2.0]))
-    eq = glm.equivalent_noise_sigma(w, noise)
+    sigma = glm.equivalent_noise_sigma(w, noise)
     # 0.25 * 1 + 0.25 * 4 = 1.25
-    assert eq.sigma[0] == pytest.approx(math.sqrt(1.25), rel=1e-12)
-    assert eq.expected_abs[0] == pytest.approx(
-        math.sqrt(1.25) * math.sqrt(2.0 / math.pi), rel=1e-12
-    )
+    assert sigma.shape == (1,)
+    assert sigma[0] == pytest.approx(math.sqrt(1.25), rel=1e-12)
 
 
 def test_equivalent_noise_optimal_formula():
@@ -309,8 +300,8 @@ def test_equivalent_noise_optimal_formula():
     p = Partition(sets=((0, 1),))
     noise = NoiseModel(sigma=np.array([1.0, 2.0]))
     w = glm.make_weights("optimal", p, noise=noise)
-    eq = glm.equivalent_noise_sigma(w, noise)
-    assert eq.sigma[0] ** 2 == pytest.approx(0.8, abs=1e-15)
+    sigma = glm.equivalent_noise_sigma(w, noise)
+    assert sigma[0] ** 2 == pytest.approx(0.8, abs=1e-15)
 
 
 def test_optimal_beats_random_simplex_weights():
@@ -319,10 +310,10 @@ def test_optimal_beats_random_simplex_weights():
     noise = NoiseModel(sigma=rng.uniform(0.5, 3.0, size=4))
     best = glm.equivalent_noise_sigma(
         glm.make_weights("optimal", p, noise=noise), noise
-    ).sigma[0]
+    )[0]
     for _ in range(200):
-        w = LocalWeights(p, (rng.dirichlet(np.ones(4)),))
-        assert glm.equivalent_noise_sigma(w, noise).sigma[0] >= best - 1e-12
+        w = LocalWeights(p, rng.dirichlet(np.ones(4)))
+        assert glm.equivalent_noise_sigma(w, noise)[0] >= best - 1e-12
 
 
 def test_noise_model_validation():
@@ -346,7 +337,7 @@ def test_draw_weights_matches_make_weights_bitwise(scheme):
     assert block.shape == (6, 40)
     for t, rng in enumerate(rngs):
         single = np.random.default_rng([4, t])
-        want = glm.make_weights(scheme, BLOCK_PARTITION, rng=single).flat_values()
+        want = glm.make_weights(scheme, BLOCK_PARTITION, rng=single).flat
         assert np.array_equal(block[t], want)
         assert rng.bit_generator.state == single.bit_generator.state
 
@@ -373,7 +364,7 @@ def test_draw_weights_raise_on_zero_sum_set():
     block = glm.draw_weights("random", partition, [Scripted(*d) for d in kept])
     for row, draws in zip(block, kept):
         want = glm.make_weights("random", partition, rng=Scripted(*draws))
-        assert np.array_equal(row, want.flat_values())
+        assert np.array_equal(row, want.flat)
 
 
 def test_draw_weights_rejects_fixed_schemes():
