@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from .experiments import (
 )
 from .graph import build_laplacian, load_edge_list
 from .localsets import greedy_partition, partition_metrics, write_partition
-
-OUT_DIR_ENV = "GRAPHLMR_OUT_DIR"
 
 # Steady-state errors below this print as "< 1e-12": at the rounding floor
 # their digits change with summation order alone.
@@ -59,8 +56,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("--config", required=True, help="key = value config file")
     p_run.add_argument(
-        "--out-dir", default=None,
-        help=f"output directory (default: ${OUT_DIR_ENV} or the working directory)",
+        "--out-dir", default=".",
+        help="output directory, created once the run has finished "
+        "(default: the working directory)",
     )
 
     p_part = sub.add_parser("partition", help="greedily partition a graph")
@@ -85,9 +83,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg)
+    # made only now, so that a run that fails leaves no directory behind
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.name}.csv"
     meta_path = out_dir / f"{cfg.name}_meta.json"
     write_report_csv(report, csv_path)

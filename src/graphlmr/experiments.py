@@ -161,14 +161,20 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# graph kind -> (required graph.* keys, further allowed ones)
-_GRAPH_KINDS = {
-    "path": (("n",), ()),
-    "grid": (("rows", "cols"), ()),
-    "rgg": (("n", "radius"), ()),
-    "edgelist": (("path",), ("index_base", "header", "dedup")),
+# section -> its kind -> (required keys of the section, further allowed ones)
+_KINDS = {
+    "graph": {
+        "path": (("n",), ()),
+        "grid": (("rows", "cols"), ()),
+        "rgg": (("n", "radius"), ()),
+        "edgelist": (("path",), ("index_base", "header", "dedup")),
+    },
+    "noise": {
+        "none": ((), ()),
+        "iid": (("sigma",), ()),
+        "grouped": (("sigma",), ("fractions",)),
+    },
 }
-_NOISE_KINDS = ("none", "iid", "grouped")
 
 
 def _finite(text: str) -> float:
@@ -203,8 +209,8 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 # takes the raw text).  A parser raises ValueError on a malformed value.
 _KEYS = {
     "name": (str,),
-    "graph": (str, lambda v: v in _GRAPH_KINDS,
-              f"must be one of {', '.join(_GRAPH_KINDS)}; got {{!r}}"),
+    "graph": (str, lambda v: v in _KINDS["graph"],
+              f"must be one of {', '.join(_KINDS['graph'])}; got {{!r}}"),
     "graph.n": (int, *_AT_LEAST_1),
     "graph.rows": (int, *_AT_LEAST_1),
     "graph.cols": (int, *_AT_LEAST_1),
@@ -217,8 +223,8 @@ _KEYS = {
     "band_dim": (int, *_AT_LEAST_1),
     "n_max": (int, *_AT_LEAST_1),
     "schemes": (_words, bool, "must be nonempty"),
-    "noise": (str, lambda v: v in _NOISE_KINDS,
-              f"must be one of {', '.join(_NOISE_KINDS)}; got {{!r}}"),
+    "noise": (str, lambda v: v in _KINDS["noise"],
+              f"must be one of {', '.join(_KINDS['noise'])}; got {{!r}}"),
     "noise.sigma": (_finites, lambda v: all(s >= 0 for s in v),
                     "entries must be nonnegative"),
     # range checked in parse_config, after the length match with noise.sigma
@@ -239,6 +245,17 @@ def _parse_value(key: str, text: str):
     if rule and not rule[0](value):
         raise ConfigError(f"{key} {rule[1]}".format(text))
     return value
+
+
+def _check_kind(section: str, kind: str, given: dict) -> None:
+    """Raise unless ``given`` has each key ``kind`` requires and only keys it allows."""
+    need, optional = _KINDS[section][kind]
+    for name in need:
+        if name not in given:
+            raise ConfigError(f"{section} = {kind} requires {section}.{name}")
+    for name in given:
+        if name not in ("kind", *need, *optional):
+            raise ConfigError(f"{section}.{name} does not apply to {section} = {kind}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -272,13 +289,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     graph = GraphConfig(**fields["graph"])
-    need, optional = _GRAPH_KINDS[graph.kind]
-    for name in need:
-        if name not in fields["graph"]:
-            raise ConfigError(f"graph = {graph.kind} requires graph.{name}")
-    for name in fields["graph"]:
-        if name not in ("kind", *need, *optional):
-            raise ConfigError(f"graph.{name} does not apply to graph = {graph.kind}")
+    _check_kind("graph", graph.kind, fields["graph"])
 
     if ("omega" in raw) == ("band_dim" in raw):
         raise ConfigError("exactly one of omega / band_dim must be set")
@@ -293,24 +304,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("schemes must not repeat")
 
     noise = NoiseConfig(**fields["noise"])
-    if noise.kind == "none":
-        if "noise.sigma" in raw or "noise.fractions" in raw:
-            raise ConfigError("noise = none takes no sigma / fractions")
-    elif "noise.sigma" not in raw:
-        raise ConfigError(f"noise = {noise.kind} requires noise.sigma")
-    elif noise.kind == "iid":
-        if len(noise.sigma) != 1:
-            raise ConfigError("noise = iid takes exactly one sigma")
-        if "noise.fractions" in raw:
-            raise ConfigError("noise = iid takes no fractions")
-    elif not noise.sigma:
+    _check_kind("noise", noise.kind, fields["noise"])
+    if noise.kind == "iid" and len(noise.sigma) != 1:
+        raise ConfigError("noise = iid takes exactly one sigma")
+    if noise.kind == "grouped" and not noise.sigma:
         raise ConfigError("noise = grouped needs at least one sigma")
-    elif noise.fractions is not None:
+    if noise.fractions is not None:
         if len(noise.fractions) != len(noise.sigma):
             raise ConfigError("noise.fractions must match noise.sigma in length")
-        if min(noise.fractions) < 0 or not math.isclose(
-            sum(noise.fractions), 1.0, rel_tol=0, abs_tol=1e-6
-        ):
+        if min(noise.fractions) < 0 or abs(sum(noise.fractions) - 1.0) > 1e-6:
             raise ConfigError("noise.fractions must be >= 0 and sum to 1")
 
     needs_noise = {"optimal", "optimal_dirac"} & set(schemes)

@@ -410,53 +410,25 @@ def suggest_nmax(omega: float) -> int:
 
 
 def format_partition(partition: Partition) -> str:
-    """Serialize: one set per line, members space-separated, optional
-    trailing ``center=<v>`` token."""
-    lines = []
-    for i, s in enumerate(partition.sets):
-        parts = [str(v) for v in s]
-        if partition.centers is not None:
-            parts.append(f"center={partition.centers[i]}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    """Serialize: one set per line, members space-separated.  A partition file
+    holds sets only, so a partition with centers is rejected, not truncated."""
+    if partition.centers is not None:
+        raise ValueError("a partition file holds sets only, not centers")
+    return "\n".join([" ".join([str(v) for v in s]) for s in partition.sets]) + "\n"
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of :func:`format_partition`; blank and ``#`` comment lines are
-    skipped."""
-    sets: list[tuple[int, ...]] = []
-    centers: list[int | None] = []
-    for line_no, fields in _records(text):
-        members: list[int] = []
-        center: int | None = None
-        for tok in fields:
-            if tok.startswith("center="):
-                if center is not None:
-                    raise ValueError(f"line {line_no}: multiple center tokens")
-                try:
-                    center = int(tok[len("center="):])
-                except ValueError:
-                    raise ValueError(
-                        f"line {line_no}: bad center token {tok!r}"
-                    ) from None
-            else:
-                try:
-                    members.append(int(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"line {line_no}: non-integer vertex {tok!r}"
-                    ) from None
-        if not members:
-            raise ValueError(f"line {line_no}: empty set")
-        sets.append(tuple(members))
-        centers.append(center)
-    have_centers = [c is not None for c in centers]
-    if any(have_centers) and not all(have_centers):
-        raise ValueError("either every set or no set may declare a center")
-    return Partition(
-        sets=tuple(sets),
-        centers=tuple(centers) if sets and all(have_centers) else None,
-    )
+    """Inverse of :func:`format_partition`: each line that is neither blank
+    nor a ``#`` comment is one set of whitespace-separated integers."""
+
+    def vertex(line_no: int, tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer vertex {tok!r}") from None
+
+    return Partition(sets=tuple(tuple(vertex(line_no, tok) for tok in fields)
+                                for line_no, fields in _records(text)))
 
 
 def write_partition(partition: Partition, path: str | Path) -> None:

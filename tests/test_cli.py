@@ -117,14 +117,24 @@ def test_run_band_dim_splitting_tied_eigenvalues_exit_2(tmp_path, capsys):
     assert not (tmp_path / "cli-check.csv").exists()
 
 
-def test_run_out_dir_env(tmp_path, capsys, monkeypatch):
+def test_failed_run_makes_no_out_dir(tmp_path, capsys):
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 2"), encoding="utf-8")
+    out_dir = tmp_path / "new" / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: band_dim = 2 splits")
+    assert not (tmp_path / "new").exists()
+
+
+def test_run_writes_to_the_working_directory_by_default(tmp_path, capsys,
+                                                        monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
-    env_dir = tmp_path / "from-env"
-    monkeypatch.setenv("GRAPHLMR_OUT_DIR", str(env_dir))
+    monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert (env_dir / "cli-check.csv").is_file()
+    assert (tmp_path / "cli-check.csv").is_file()
+    assert (tmp_path / "cli-check_meta.json").is_file()
 
 
 def test_run_rerun_identical_bytes(tmp_path, capsys):

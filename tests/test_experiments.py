@@ -89,7 +89,8 @@ def test_parse_config_defaults():
         ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\ngraph.radius = 0.1\n"
          "omega = 0.1\nschemes = uniform\n", "does not apply"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = none\nnoise.sigma = 0.1\n", "takes no sigma"),
+         "noise = none\nnoise.sigma = 0.1\n",
+         "noise.sigma does not apply to noise = none"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\n", "requires noise.sigma"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
@@ -114,7 +115,7 @@ def test_parse_config_defaults():
          "noise = grouped\nnoise.sigma = ,\n", "needs at least one sigma"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\nnoise.sigma = 0.1\nnoise.fractions = 1\n",
-         "iid takes no fractions"),
+         "noise.fractions does not apply to noise = iid"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\nnoise.sigma = 1e-3x\n",
          r"bad value for noise\.sigma: '1e-3x'"),
@@ -174,6 +175,58 @@ def test_parse_config_defaults():
 def test_parse_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         glm.parse_config(text)
+
+
+# every kind of the graph and noise sections: the keys of its section that
+# it requires, then the further ones that it allows
+SECTION_KINDS = {
+    ("graph", "path"): (("n",), ()),
+    ("graph", "grid"): (("rows", "cols"), ()),
+    ("graph", "rgg"): (("n", "radius"), ()),
+    ("graph", "edgelist"): (("path",), ("index_base", "header", "dedup")),
+    ("noise", "none"): ((), ()),
+    ("noise", "iid"): (("sigma",), ()),
+    ("noise", "grouped"): (("sigma",), ("fractions",)),
+}
+# a value that parses for every key of the two sections
+SECTION_VALUES = {
+    "graph.n": "8", "graph.rows": "3", "graph.cols": "3", "graph.radius": "0.3",
+    "graph.path": "g.edges", "graph.index_base": "1", "graph.header": "true",
+    "graph.dedup": "true", "noise.sigma": "0.1", "noise.fractions": "1",
+}
+
+
+def _section_config(section: str, kind: str, names) -> str:
+    """A config whose ``section`` is ``kind`` with the keys ``names`` set."""
+    keys = {"graph": "path", "graph.n": "8", "omega": "0.1", "schemes": "uniform"}
+    keys = {k: v for k, v in keys.items() if k.split(".")[0] != section}
+    keys[section] = kind
+    keys.update((f"{section}.{n}", SECTION_VALUES[f"{section}.{n}"]) for n in names)
+    return "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+@pytest.mark.parametrize("section, kind", list(SECTION_KINDS))
+def test_parse_config_section_keys_follow_their_kind(section, kind):
+    assert set(SECTION_VALUES) == {k for k in _KEYS if "." in k}
+    kinds = [k for s, k in SECTION_KINDS if s == section]
+    with pytest.raises(ConfigError, match=f"must be one of {', '.join(kinds)};"):
+        glm.parse_config(_section_config(section, "bogus", ()))
+    need, optional = SECTION_KINDS[section, kind]
+    cfg = glm.parse_config(_section_config(section, kind, need + optional))
+    assert getattr(cfg, section).kind == kind
+    others = [key.partition(".")[2] for key in SECTION_VALUES
+              if key.startswith(f"{section}.")
+              and key.partition(".")[2] not in need + optional]
+    for name in need:
+        # a missing key is reported before a foreign one
+        rest = [n for n in need + optional if n != name] + others[:1]
+        message = rf"^{section} = {kind} requires {section}\.{name}$"
+        with pytest.raises(ConfigError, match=message):
+            glm.parse_config(_section_config(section, kind, rest))
+    for name in others:
+        message = rf"^{section}\.{name} does not apply to {section} = {kind}$"
+        with pytest.raises(ConfigError, match=message):
+            glm.parse_config(_section_config(section, kind, need + (name,)))
 
 
 def test_parse_config_edgelist_dedup(tmp_path):

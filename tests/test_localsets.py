@@ -206,28 +206,31 @@ def test_suggest_nmax():
 
 
 def test_partition_serialization_roundtrip(tmp_path):
-    p = Partition(sets=((0, 1), (2, 3)), centers=(1, 2))
+    p = Partition(sets=((0, 1), (2, 3)))
     text = glm.localsets.format_partition(p)
-    assert text == "0 1 center=1\n2 3 center=2\n"
+    assert text == "0 1\n2 3\n"
     assert glm.localsets.parse_partition(text) == p
     path = tmp_path / "p.txt"
     glm.write_partition(p, path)
     assert glm.read_partition(path) == p
 
 
-def test_partition_parse_without_centers():
+def test_partition_parse_skips_blank_and_comment_lines():
     p = glm.localsets.parse_partition("# comment\n0 1\n\n2 3\n")
     assert p == Partition(sets=((0, 1), (2, 3)))
 
 
 def test_partition_parse_errors():
-    with pytest.raises(ValueError, match="every set or no set"):
-        glm.localsets.parse_partition("0 1 center=0\n2 3\n")
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(ValueError, match="line 1: non-integer vertex 'x'"):
         glm.localsets.parse_partition("0 x\n")
-    with pytest.raises(ValueError, match="bad center"):
-        glm.localsets.parse_partition("0 1 center=a\n")
-    with pytest.raises(ValueError, match="multiple center"):
-        glm.localsets.parse_partition("0 center=0 center=0\n")
-    with pytest.raises(ValueError, match="empty set"):
-        glm.localsets.parse_partition("center=0\n")
+    # a partition file holds sets only
+    with pytest.raises(ValueError, match="line 3: non-integer vertex 'center=1'"):
+        glm.localsets.parse_partition("0 1\n\n2 1 center=1\n")
+
+
+def test_partition_with_centers_is_not_written(tmp_path):
+    p = Partition(sets=((0, 1), (2, 3)), centers=(1, 2))
+    path = tmp_path / "p.txt"
+    with pytest.raises(ValueError, match="sets only"):
+        glm.write_partition(p, path)
+    assert not path.exists()
