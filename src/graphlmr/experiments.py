@@ -36,7 +36,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_experiment",
-    "relative_error",
     "write_report_csv",
     "format_report_csv",
     "write_report_meta",
@@ -141,18 +140,6 @@ class ExperimentReport:
     contraction: dict[str, float]
     spectral_radius: dict[str, float]
     timings: dict[str, float]
-
-
-def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """||estimate - truth|| / ||truth||; rejects zero truth."""
-    est = np.asarray(estimate, dtype=np.float64)
-    tru = np.asarray(truth, dtype=np.float64)
-    if est.shape != tru.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {tru.shape}")
-    denom = np.linalg.norm(tru)
-    if denom == 0.0:
-        raise ValueError("truth has zero norm")
-    return float(np.linalg.norm(est - tru) / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Noise sampling and closed-form reconstruction-error bounds.
+"""Closed-form reconstruction-error bounds under measurement noise.
 
 With measurement noise n_i = <n, phi_i>, the iteration error obeys
 
@@ -22,7 +22,6 @@ from .sampling import LocalWeights, NoiseModel, equivalent_noise_sigma
 
 __all__ = [
     "ErrorBoundReport",
-    "sample_noise",
     "noise_tilde",
     "realized_report",
     "expected_report",
@@ -30,11 +29,6 @@ __all__ = [
 
 # E|n_i| / sigma_i for a zero-mean Gaussian n_i: its absolute value is half-normal
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
-
-
-def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One independent zero-mean Gaussian draw per vertex, scaled by sigma(v)."""
-    return rng.standard_normal(noise.n) * noise.sigma
 
 
 def noise_tilde(partition: Partition, equivalent_noises: np.ndarray) -> float:

@@ -27,10 +27,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph
-from .localsets import Partition, partition_metrics
+from .localsets import Partition
 from .sampling import LocalWeights, make_weights
-from .spectral import SpectralBasis, _check_length
+from .spectral import SpectralBasis
 
 __all__ = [
     "BandOperator",
@@ -39,7 +38,6 @@ __all__ = [
     "ilmr",
     "ilsr",
     "ipr",
-    "contraction_ratio",
 ]
 
 _TINY = 1e-300  # guards the relative-increment test when the iterate is zero
@@ -230,6 +228,13 @@ class BandOperator:
         return Sweeps(c, increments, errors, stop_reason)
 
 
+def _check_length(x: np.ndarray, n: int, what: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
+    return arr
+
+
 def ilmr(
     measurements: np.ndarray,
     partition: Partition,
@@ -315,22 +320,3 @@ def ipr(
         raise ValueError(f"set {i}: center {partition.centers[i]} is not a member")
     weights = LocalWeights(partition, at_center)
     return ilmr(decimated, partition, weights, basis, config, c_max=q_max)
-
-
-def contraction_ratio(
-    graph: Graph,
-    basis: SpectralBasis,
-    omega: float,
-    partition: Partition,
-    weights: LocalWeights,
-) -> tuple[float, float]:
-    """The a-priori contraction bound and the exact contraction factor of G.
-
-    Returns ``(bound, ratio)`` where bound = C_max sqrt(omega) and ratio is
-    the supremum of ||f - G f|| / ||f|| over nonzero bandlimited f, computed
-    exactly as the spectral norm ||I_k - B^T A||_2 of the iteration on band
-    coefficients.  The convergence guarantee rests on ratio <= bound.
-    """
-    metrics = partition_metrics(graph, partition)
-    op = BandOperator(basis, omega, partition)
-    return metrics.c_max * math.sqrt(omega), op.contractions([op.gain(weights)])[0][0]

@@ -44,10 +44,6 @@ class NoiseModel:
         sig.flags.writeable = False
         object.__setattr__(self, "sigma", sig)
 
-    @property
-    def n(self) -> int:
-        return self.sigma.size
-
     @staticmethod
     def iid(n_vertices: int, sigma: float) -> "NoiseModel":
         return NoiseModel(sigma=np.full(n_vertices, float(sigma)))

@@ -1,4 +1,4 @@
-"""Laplacian eigenbasis, graph Fourier transform, and bandlimited signals."""
+"""Laplacian eigenbasis and random bandlimited signals."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "SpectralBasis",
     "eigendecompose",
-    "gft",
     "random_bandlimited",
     "random_bandlimited_block",
 ]
@@ -172,37 +171,20 @@ def _check_symmetric(lap: np.ndarray) -> None:
                 raise ValueError("laplacian must be symmetric")
 
 
-def _check_length(x: np.ndarray, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    return arr
-
-
-def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform: coefficients ``<signal, u_k>``."""
-    f = _check_length(signal, basis.n, "signal")
-    return basis.eigenvectors.T @ f
-
-
 def random_bandlimited(
     basis: SpectralBasis,
     omega: float,
     rng: np.random.Generator,
-    norm: float = 1.0,
     offband_energy: float = 0.0,
 ) -> np.ndarray:
-    """Random signal with prescribed 2-norm, bandlimited to ``[0, omega]``.
+    """Random unit-norm signal, bandlimited to ``[0, omega]``.
 
     In-band coefficients are iid standard normal, then rescaled.  With
     ``offband_energy = e`` in ``[0, 1)`` the result carries energy fraction
     ``e`` in the orthogonal complement (an independent unit-energy draw),
-    so ``||f||^2 = norm^2`` still holds exactly; ``e = 0`` means strictly
-    bandlimited.
+    so ``||f|| = 1`` still holds; ``e = 0`` means strictly bandlimited.
     """
-    if not norm >= 0:  # NaN fails too
-        raise ValueError("norm must be nonnegative")
-    return norm * random_bandlimited_block(basis, omega, [rng], offband_energy)[:, 0]
+    return random_bandlimited_block(basis, omega, [rng], offband_energy)[:, 0]
 
 
 def random_bandlimited_block(

@@ -34,7 +34,9 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 def test_1_projection_spread_bound(contraction_setups):
     start = time.perf_counter()
     for label, graph, basis, partition, omega, weights in contraction_setups:
-        bound, ratio = glm.contraction_ratio(graph, basis, omega, partition, weights)
+        bound = glm.partition_metrics(graph, partition).c_max * math.sqrt(omega)
+        op = glm.BandOperator(basis, omega, partition)
+        ratio = op.contractions([op.gain(weights)])[0][0]
         assert ratio <= bound + 1e-9, f"{label}: {ratio} > {bound}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"bound check took {elapsed:.1f}s"
@@ -56,7 +58,7 @@ def test_2_noise_free_decay_and_convergence(grid20, grid20_pairs, rgg300,
         gamma = metrics.c_max * math.sqrt(omega)
         assert gamma < 1.0
         rng = np.random.default_rng([2, t])
-        f = glm.random_bandlimited(basis, omega, rng, norm=1.0)
+        f = glm.random_bandlimited(basis, omega, rng)
         scheme = "uniform" if t % 2 == 0 else "random"
         weights = glm.make_weights(scheme, partition, rng=rng)
         config = glm.ReconstructionConfig(
@@ -89,7 +91,7 @@ def test_3_dirac_singleton_equivalences(grid20, grid20_pairs):
 
     for t in range(20):
         rng = np.random.default_rng([3, t])
-        f = glm.random_bandlimited(basis, 0.03, rng, norm=1.0)
+        f = glm.random_bandlimited(basis, 0.03, rng)
         noisy = f + 0.01 * rng.standard_normal(basis.n)
         decimated = noisy[list(centers)]
 
@@ -127,13 +129,12 @@ def test_5_realized_noise_bound_dominates(grid20, grid20_pairs):
     gamma = metrics.c_max * math.sqrt(omega)
     assert gamma < 1.0
     weights = glm.make_weights("uniform", partition)
-    model = glm.NoiseModel.iid(400, 0.01)
 
     violations = 0
     for t in range(100):
         rng = np.random.default_rng([5, t])
-        f = glm.random_bandlimited(basis, omega, rng, norm=1.0)
-        noise = glm.sample_noise(model, rng)
+        f = glm.random_bandlimited(basis, omega, rng)
+        noise = 0.01 * rng.standard_normal(400)
         per_set_noise = glm.measure(noise, weights)
         run = glm.ilmr(
             glm.measure(f, weights) + per_set_noise, partition, weights, basis,

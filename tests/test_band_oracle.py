@@ -147,7 +147,8 @@ def test_run_experiment_matches_dense_oracle(offband):
     for t in range(cfg.trials):
         f = glm.random_bandlimited(basis, 0.3, _rng(9, _STREAM_SIGNAL, t),
                                    offband_energy=offband)
-        observed = f + glm.sample_noise(model, _rng(9, _STREAM_NOISE, t))
+        noise = _rng(9, _STREAM_NOISE, t).standard_normal(graph.n_vertices)
+        observed = f + noise * model.sigma
         for j, scheme in enumerate(cfg.schemes):
             weights = glm.make_weights(scheme, partition, noise=model,
                                        rng=_rng(9, _STREAM_WEIGHTS, t, j))
@@ -172,9 +173,9 @@ def test_ilmr_early_stop_matches_dense_oracle(grid20, grid20_pairs):
     partition, metrics = grid20_pairs
     omega = 0.03
     rng = np.random.default_rng(0)
-    truth = glm.random_bandlimited(basis, omega, rng, norm=1.0)
+    truth = glm.random_bandlimited(basis, omega, rng)
     weights = glm.make_weights("uniform", partition)
-    noise = glm.sample_noise(glm.NoiseModel.iid(basis.n, 1e-3), rng)
+    noise = 1e-3 * rng.standard_normal(basis.n)
     m = glm.measure(truth + noise, weights)
     config = glm.ReconstructionConfig(omega=omega, max_iterations=100)
     run = glm.ilmr(m, partition, weights, basis, config, c_max=metrics.c_max)

@@ -253,17 +253,6 @@ def test_parse_config_hash_inside_value_is_kept():
     assert cfg.schemes == ("uniform",)
 
 
-def test_relative_error():
-    truth = np.array([3.0, 4.0])
-    assert glm.relative_error(truth, truth) == 0.0
-    assert glm.relative_error(np.zeros(2), truth / 5.0) == 1.0
-    assert glm.relative_error(2.0 * truth, truth) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="zero norm"):
-        glm.relative_error(truth, np.zeros(2))
-    with pytest.raises(ValueError, match="shape"):
-        glm.relative_error(np.zeros(3), truth)
-
-
 def test_run_experiment_noise_free_converges():
     report = glm.run_experiment(glm.parse_config(GRID_CFG))
     assert report.gamma < 1
@@ -281,6 +270,58 @@ def test_run_experiment_deterministic():
     assert format_report_csv(a) == format_report_csv(b)
     for scheme in a.schemes:
         assert np.array_equal(a.steady_errors[scheme], b.steady_errors[scheme])
+
+
+NOISY_PATH_CFG = (
+    "graph = path\ngraph.n = 16\nomega = 0.05\nn_max = 2\nschemes = uniform\n"
+    "noise = iid\nnoise.sigma = {sigma}\ntrials = {trials}\nmax_iterations = 25\n"
+    "seed = 1\n"
+)
+
+
+def test_run_experiment_errors_are_relative_to_the_truth():
+    # redo each trial by hand: its own signal and noise streams, then ILMR
+    cfg = glm.parse_config(NOISY_PATH_CFG.format(sigma=1e-2, trials=3))
+    report = glm.run_experiment(cfg)
+    graph = glm.path_graph(16)
+    basis = glm.eigendecompose(glm.build_laplacian(graph))
+    partition = glm.greedy_partition(graph, 2)
+    w = glm.make_weights("uniform", partition)
+    signal_rngs = _trial_rngs(1, 103, range(3))
+    noise_rngs = _trial_rngs(1, 104, range(3))
+    curves = []
+    for signal_rng, noise_rng in zip(signal_rngs, noise_rngs):
+        truth = glm.random_bandlimited(basis, 0.05, signal_rng)
+        observed = truth + 1e-2 * noise_rng.standard_normal(16)
+        run = glm.ilmr(
+            glm.measure(observed, w), partition, w, basis,
+            glm.ReconstructionConfig(omega=0.05, max_iterations=25,
+                                     stop_tolerance=0.0, track_truth=truth),
+        )
+        curves.append(run.error_trace / np.linalg.norm(truth))
+    curves = np.array(curves)
+    assert np.allclose(report.steady_errors["uniform"], curves[:, -1],
+                       rtol=1e-9, atol=1e-15)
+    assert np.allclose(report.mean_rel_error["uniform"], curves.mean(axis=0),
+                       rtol=1e-9, atol=1e-15)
+
+
+def test_zero_sigma_noise_gives_the_noise_free_run():
+    quiet = glm.run_experiment(glm.parse_config(NOISY_PATH_CFG.format(sigma=0, trials=3)))
+    none = glm.run_experiment(glm.parse_config(
+        NOISY_PATH_CFG.format(sigma=0, trials=3).replace(
+            "noise = iid\nnoise.sigma = 0\n", "noise = none\n")))
+    assert none.config.noise.kind == "none"
+    assert np.array_equal(quiet.mean_rel_error["uniform"], none.mean_rel_error["uniform"])
+    assert np.array_equal(quiet.steady_errors["uniform"], none.steady_errors["uniform"])
+
+
+def test_leading_trials_do_not_depend_on_the_trial_count():
+    # each trial draws its signal and noise from its own stream
+    two = glm.run_experiment(glm.parse_config(NOISY_PATH_CFG.format(sigma=1e-2, trials=2)))
+    five = glm.run_experiment(glm.parse_config(NOISY_PATH_CFG.format(sigma=1e-2, trials=5)))
+    assert np.allclose(five.steady_errors["uniform"][:2], two.steady_errors["uniform"],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_run_experiment_curve_lengths_match():

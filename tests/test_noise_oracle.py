@@ -203,7 +203,7 @@ def test_one_invalid_argument_raises_as_the_closed_forms(
     setup, gamma, k, norm_f, iid, data
 ):
     partition, weights, noise, noises = setup
-    n = noise.n
+    n = noise.sigma.size
     if iid:  # start from valid iid input: constant sigma, uniform weights
         noise = NoiseModel.iid(n, 0.1)
         weights = glm.make_weights("uniform", partition)

@@ -243,12 +243,12 @@ def test_ipr_gamma_from_q_max():
 
 
 def test_contraction_ratio_bound_holds(grid20, grid20_pairs):
-    graph, basis = grid20
+    _, basis = grid20
     partition, metrics = grid20_pairs
     w = glm.make_weights("uniform", partition)
-    bound, ratio = glm.contraction_ratio(graph, basis, 0.03, partition, w)
-    assert bound == pytest.approx(metrics.c_max * math.sqrt(0.03))
-    assert ratio <= bound + 1e-9
+    op = glm.BandOperator(basis, 0.03, partition)
+    ratio = op.contractions([op.gain(w)])[0][0]
+    assert ratio <= metrics.c_max * math.sqrt(0.03) + 1e-9
 
 
 def _sampled_ratio(basis, omega, partition, weights, trials, rng):
@@ -257,20 +257,20 @@ def _sampled_ratio(basis, omega, partition, weights, trials, rng):
     op = glm.BandOperator(basis, omega, partition)
     worst = 0.0
     for _ in range(trials):
-        f = glm.random_bandlimited(basis, omega, rng, norm=1.0)
+        f = glm.random_bandlimited(basis, omega, rng)
         ratio = float(np.linalg.norm(f - op.ub @ (op.bt @ glm.measure(f, weights))))
         worst = max(worst, ratio)
     return worst
 
 
 def test_contraction_ratio_is_the_supremum(contraction_setups):
-    for label, graph, basis, partition, omega, weights in contraction_setups:
-        _, ratio = glm.contraction_ratio(graph, basis, omega, partition, weights)
+    for label, _, basis, partition, omega, weights in contraction_setups:
+        op = glm.BandOperator(basis, omega, partition)
+        ratio = op.contractions([op.gain(weights)])[0][0]
         sampled = _sampled_ratio(basis, omega, partition, weights, 200,
                                  np.random.default_rng(17))
         assert sampled <= ratio + 1e-12, label
         # the top right singular vector of I - B^T A attains the supremum
-        op = glm.BandOperator(basis, omega, partition)
         k = op.ub.shape[1]
         _, _, vt = np.linalg.svd(np.eye(k) - op.bt @ op.measurement_matrix(weights))
         f = op.ub @ vt[0]
@@ -339,13 +339,13 @@ def test_one_measurement_determines_a_one_dimensional_band_only():
 
 
 def test_measurement_map_has_full_rank_at_desk_scale(grid20, grid20_pairs):
-    graph, basis = grid20
+    _, basis = grid20
     partition, _ = grid20_pairs
     w = glm.make_weights("uniform", partition)
     op = glm.BandOperator(basis, 0.03, partition)
     k = op.ub.shape[1]
     assert np.linalg.matrix_rank(op.measurement_matrix(w)) == k
-    _, ratio = glm.contraction_ratio(graph, basis, 0.03, partition, w)
+    ratio = op.contractions([op.gain(w)])[0][0]
     assert ratio < 1.0
 
 

@@ -322,7 +322,7 @@ def test_noise_model_validation():
     with pytest.raises(ValueError, match="1-d"):
         NoiseModel(sigma=np.ones((2, 2)))
     m = NoiseModel.iid(5, 0.3)
-    assert m.n == 5 and np.allclose(m.sigma, 0.3)
+    assert m.sigma.size == 5 and np.allclose(m.sigma, 0.3)
 
 
 # set sizes past 8, where a pairwise sum would reorder the totals

@@ -163,25 +163,20 @@ def test_basis_rejects_mismatched_shapes(vals, vecs):
         glm.SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
 
 
-def test_gft_roundtrip_and_parseval(grid20):
+def test_eigenvectors_invert_and_keep_the_norm(grid20):
     _, basis = grid20
     f = np.random.default_rng(0).standard_normal(basis.n)
-    spectrum = glm.gft(basis, f)
-    assert np.allclose(basis.eigenvectors @ spectrum, f, atol=1e-10)
-    assert np.linalg.norm(spectrum) == pytest.approx(np.linalg.norm(f), rel=1e-12)
+    coeff = basis.eigenvectors.T @ f
+    assert np.allclose(basis.eigenvectors @ coeff, f, atol=1e-10)
+    assert np.linalg.norm(coeff) == pytest.approx(np.linalg.norm(f), rel=1e-12)
 
 
-def test_gft_p2_constant():
+def test_eigendecompose_p2_constant_eigenvector():
     basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(2)))
-    spectrum = glm.gft(basis, np.array([1.0, 1.0]))
-    # the constant eigenvector carries everything (sign is solver-dependent)
-    assert np.allclose(np.abs(spectrum), [math.sqrt(2.0), 0.0], atol=1e-12)
-
-
-def test_gft_shape_check(p4):
-    _, basis = p4
-    with pytest.raises(ValueError, match="shape"):
-        glm.gft(basis, np.zeros(5))
+    assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
+    # the zero eigenvalue belongs to the constant vector (sign is solver-dependent)
+    const = basis.eigenvectors[:, 0]
+    assert np.allclose(np.abs(const), [1.0 / math.sqrt(2.0)] * 2, atol=1e-12)
 
 
 def test_band_vectors_project_p2():
@@ -228,8 +223,8 @@ def test_band_cutoff_inclusive():
 def test_random_bandlimited_norm_and_band(grid20):
     _, basis = grid20
     rng = np.random.default_rng(7)
-    f = glm.random_bandlimited(basis, 0.1, rng, norm=3.0)
-    assert np.linalg.norm(f) == pytest.approx(3.0, abs=1e-12)
+    f = glm.random_bandlimited(basis, 0.1, rng)
+    assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     ub = basis.band_vectors(0.1)
     assert np.allclose(ub @ (ub.T @ f), f, atol=1e-10)
 
@@ -245,7 +240,7 @@ def test_random_bandlimited_offband_energy(grid20):
     _, basis = grid20
     rng = np.random.default_rng(11)
     e = 1e-2
-    f = glm.random_bandlimited(basis, 0.1, rng, norm=1.0, offband_energy=e)
+    f = glm.random_bandlimited(basis, 0.1, rng, offband_energy=e)
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     ub = basis.band_vectors(0.1)
     inband = ub @ (ub.T @ f)
@@ -270,10 +265,18 @@ def test_random_bandlimited_errors(p4):
             glm.random_bandlimited(basis, 0.1, rng, offband_energy=bad)
     with pytest.raises(ValueError, match="whole spectrum"):
         glm.random_bandlimited(basis, 10.0, rng, offband_energy=0.5)
-    with pytest.raises(ValueError, match="norm"):
-        glm.random_bandlimited(basis, 0.1, rng, norm=-1.0)
-    with pytest.raises(ValueError, match="norm must be nonnegative"):
-        glm.random_bandlimited(basis, 0.1, rng, norm=float("nan"))
+
+
+def test_random_bandlimited_is_unit_norm_on_a_one_dimensional_band(p4):
+    _, basis = p4
+    assert basis.band_dim(0.1) == 1
+    rng = np.random.default_rng(5)
+    f = glm.random_bandlimited(basis, 0.1, rng)
+    # the band holds only the constant vector, so f is +-1/2 everywhere
+    assert np.allclose(np.abs(f), 0.5, atol=1e-12)
+    g = glm.random_bandlimited(basis, 0.1, rng, offband_energy=0.5)
+    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+    assert abs(g.mean()) * 2.0 == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_random_bandlimited_block_rejects_an_empty_band():
