@@ -22,29 +22,6 @@ from .localsets import greedy_partition, partition_metrics, write_partition
 _PRINT_FLOOR = 1e-12
 
 
-def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", required=True, help="edge-list file")
-    parser.add_argument(
-        "--index-base", type=int, default=0, choices=(0, 1),
-        help="vertex numbering base in the file (default 0)",
-    )
-    parser.add_argument(
-        "--header", action="store_true",
-        help="first data line is an 'N M' count header",
-    )
-    parser.add_argument(
-        "--dedup", action="store_true",
-        help="drop duplicate edges and self-loops instead of failing",
-    )
-
-
-def _load_graph(args: argparse.Namespace):
-    return load_edge_list(
-        args.graph, index_base=args.index_base,
-        dedup=args.dedup, header=args.header,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="graphlmr",
@@ -62,12 +39,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_part = sub.add_parser("partition", help="greedily partition a graph")
-    _add_graph_args(p_part)
+    p_part.add_argument("--graph", required=True, help="edge-list file")
     p_part.add_argument("--nmax", required=True, type=int, help="maximum set size")
     p_part.add_argument("--out", required=True, help="partition output file")
 
     p_info = sub.add_parser("info", help="print graph size and spectrum range")
-    _add_graph_args(p_info)
+    p_info.add_argument("--graph", required=True, help="edge-list file")
 
     args = parser.parse_args(argv)
     try:
@@ -114,7 +91,7 @@ def _floored(value: float) -> str:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+    graph = load_edge_list(args.graph)
     if graph.n_vertices == 0:
         raise ValueError(f"{args.graph}: the graph has no vertices to partition")
     partition = greedy_partition(graph, args.nmax)
@@ -126,7 +103,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+    graph = load_edge_list(args.graph)
     eigenvalues = np.linalg.eigvalsh(build_laplacian(graph))
     lam2 = repr(float(eigenvalues[1])) if graph.n_vertices > 1 else "n/a"
     lam_n = repr(float(eigenvalues[-1])) if graph.n_vertices else "n/a"

@@ -22,9 +22,11 @@ import numpy as np
 
 from .generators import grid_graph, path_graph, random_geometric_graph
 from .graph import Graph, build_laplacian, load_edge_list
-from .localsets import Partition, greedy_partition, partition_metrics, suggest_nmax
+from .localsets import greedy_partition, partition_metrics, suggest_nmax
 from .reconstruction import BandOperator
-from .sampling import WEIGHT_SCHEMES, NoiseModel, draw_weights, make_weights
+from .sampling import (
+    _NEEDS_NOISE, _PER_TRIAL, WEIGHT_SCHEMES, NoiseModel, draw_weights, make_weights,
+)
 from .spectral import SpectralBasis, _Owned, eigendecompose, random_bandlimited_block
 
 __all__ = [
@@ -74,9 +76,6 @@ class GraphConfig:
     cols: int | None = None
     radius: float | None = None
     path: str | None = None
-    index_base: int = 0
-    header: bool = False
-    dedup: bool = False
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -154,7 +153,7 @@ _KINDS = {
         "path": (("n",), ()),
         "grid": (("rows", "cols"), ()),
         "rgg": (("n", "radius"), ()),
-        "edgelist": (("path",), ("index_base", "header", "dedup")),
+        "edgelist": (("path",), ()),
     },
     "noise": {
         "none": ((), ()),
@@ -179,15 +178,6 @@ def _finites(text: str) -> tuple[float, ...]:
     return tuple(_finite(word) for word in _words(text))
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(text)
-
-
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 
@@ -203,9 +193,6 @@ _KEYS = {
     "graph.cols": (int, *_AT_LEAST_1),
     "graph.radius": (_finite, *_POSITIVE),
     "graph.path": (str,),
-    "graph.index_base": (int, lambda v: v in (0, 1), "must be 0 or 1"),
-    "graph.header": (_parse_bool,),
-    "graph.dedup": (_parse_bool,),
     "omega": (_finite, *_POSITIVE),
     "band_dim": (int, *_AT_LEAST_1),
     "n_max": (int, *_AT_LEAST_1),
@@ -302,7 +289,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if min(noise.fractions) < 0 or abs(sum(noise.fractions) - 1.0) > 1e-6:
             raise ConfigError("noise.fractions must be >= 0 and sum to 1")
 
-    needs_noise = {"optimal", "optimal_dirac"} & set(schemes)
+    needs_noise = set(_NEEDS_NOISE) & set(schemes)
     if needs_noise and (noise.kind == "none" or min(noise.sigma) <= 0):
         raise ConfigError(
             f"schemes {sorted(needs_noise)} require noise with sigma > 0"
@@ -437,9 +424,7 @@ def _build_graph(cfg: ExperimentConfig) -> Graph:
         return random_geometric_graph(
             g.n, g.radius, _rng(cfg.seed, _STREAM_GRAPH)
         )
-    return load_edge_list(
-        g.path, index_base=g.index_base, dedup=g.dedup, header=g.header
-    )
+    return load_edge_list(g.path)
 
 
 def _build_noise_model(cfg: ExperimentConfig, n_vertices: int) -> NoiseModel:
@@ -520,7 +505,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     op = BandOperator(basis, omega, partition)
     gains, readouts = [], []
     for j, scheme in enumerate(cfg.schemes):
-        if scheme in ("random", "dirac"):  # redrawn per trial: one M per column
+        if scheme in _PER_TRIAL:  # one M per column
             weights = draw_weights(scheme, partition, _trial_rngs(
                 cfg.seed, _STREAM_WEIGHTS, range(cfg.trials), j))
         else:

@@ -69,18 +69,14 @@ class Graph:
 
     @staticmethod
     def from_edges(
-        n_vertices: int,
-        edges: Iterable[tuple[int, int]] | np.ndarray,
-        dedup: bool = False,
+        n_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray
     ) -> "Graph":
         """Build a graph, validating and canonicalizing the edge list.
 
         ``edges`` is an iterable of ``(u, v)`` pairs or an ``(m, 2)`` integer
-        array.  An endpoint outside ``0 .. n_vertices - 1`` raises
-        ``ValueError``; so do self-loops and duplicate edges (in either
-        orientation) unless ``dedup`` is true, in which case self-loops are
-        dropped and duplicates collapsed.  The error names the first
-        offending edge in input order.
+        array.  An endpoint outside ``0 .. n_vertices - 1``, a self-loop and
+        a duplicate edge (in either orientation) each raise ``ValueError``,
+        which names the first offending edge in input order.
         """
         n = int(n_vertices)
         if n < 0:
@@ -88,7 +84,7 @@ class Graph:
         if n > _MAX_VERTICES:
             # edge keys min * n + max must fit in int64
             raise ValueError(f"{n} vertices exceed the supported {_MAX_VERTICES}")
-        key = _edge_keys(n, edges, dedup)
+        key = _edge_keys(n, edges)
         # both orientations of each edge, sorted by (row, neighbor)
         width = max(n, 1)
         lo, hi = np.divmod(key, width)
@@ -161,14 +157,11 @@ class Graph:
         return owner, self.indices[pos]
 
 
-def _edge_keys(
-    n: int, edges: Iterable[tuple[int, int]] | np.ndarray, dedup: bool
-) -> np.ndarray:
-    """Sorted distinct ``min * n + max`` keys of the edges.
+def _edge_keys(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Sorted ``min * n + max`` keys of the edges.
 
     Raises ``ValueError`` for the first offending edge in input order: one
-    out of range, or, unless ``dedup`` drops them, a self-loop or a repeat
-    of an earlier edge.
+    out of range, a self-loop or a repeat of an earlier edge.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -185,8 +178,8 @@ def _edge_keys(
     sorted_key = np.sort(key)
     repeat = np.zeros(key.size, dtype=bool)
     repeat[1:] = sorted_key[1:] == sorted_key[:-1]
-    flagged = out if dedup else out | loop
-    if not dedup and repeat.any():
+    flagged = out | loop
+    if repeat.any():
         # sorted stably, an edge equal to its predecessor repeats an earlier one
         order = np.argsort(key, kind="stable")
         flagged[valid[order[repeat]]] = True
@@ -198,7 +191,7 @@ def _edge_keys(
         if loop[i]:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-    return sorted_key[~repeat]
+    return sorted_key
 
 
 def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
@@ -292,28 +285,19 @@ def _leading_int_rows(rows: list[list[str]]) -> np.ndarray:
     return np.array(values, dtype=object).reshape(-1, 2)
 
 
-def parse_edge_list(
-    text: str | bytes,
-    index_base: int = 0,
-    dedup: bool = False,
-    header: bool = False,
-) -> Graph:
+def parse_edge_list(text: str | bytes) -> Graph:
     """Parse edge-list text, or its UTF-8 bytes, into a :class:`Graph`.
 
-    Format: one ``u v`` pair per line, whitespace separated; blank lines and
-    lines starting with ``#`` are ignored.  With ``header=True`` the first
-    data line is read as ``N M`` (vertex and edge counts) and ``M`` is checked
-    against the number of edges actually read.  Without a header the vertex
-    count is inferred as ``max index + 1`` (after ``index_base`` shifting).
-    ``index_base=1`` converts 1-based input to the internal 0-based indexing.
+    Format: one 0-based ``u v`` pair per line, whitespace separated; blank
+    lines and lines starting with ``#`` are ignored.  The vertex count is the
+    largest index plus 1.  There is no count header: a first line ``N M``
+    reads as one more edge.  A self-loop or a duplicate edge is an error.
     Errors name the line of the first bad data line, as a line-by-line read
     would.  Line breaks are those of ``str.splitlines``.  ASCII bytes go to
     the one-pass reader undecoded; other bytes are decoded first, strictly.
     """
     if isinstance(text, bytes) and not text.isascii():
         text = text.decode("utf-8")
-    if index_base not in (0, 1):
-        raise EdgeListError(f"index_base must be 0 or 1, got {index_base}")
 
     def records() -> Iterator[tuple[int, list[str]]]:
         return _records(text if isinstance(text, str) else text.decode("ascii"))
@@ -323,22 +307,16 @@ def parse_edge_list(
     if values is None:  # find the first malformed line, reading line by line
         rows = [fields for _, fields in records()]
         values = _leading_int_rows(rows)
-    n_rows = len(values) if rows is None else len(rows)
 
     def line_no(row: int) -> int:
         return next(islice(records(), row, None))[0]
 
-    start = 1 if header and len(values) else 0
-    if start and (values[0] < 0).any():
-        raise EdgeListError("negative count in N M header", line_no(0))
-    below = np.flatnonzero(np.minimum(*values[start:].T) < index_base)
-    if below.size:
-        row = start + int(below[0])
+    negative = np.flatnonzero(np.minimum(*values.T) < 0)
+    if negative.size:
+        row = int(negative[0])
         a, b = values[row]
-        raise EdgeListError(
-            f"vertex index below base {index_base} in ({a}, {b})", line_no(row)
-        )
-    if len(values) < n_rows:
+        raise EdgeListError(f"negative vertex index in ({a}, {b})", line_no(row))
+    if rows is not None and len(values) < len(rows):
         fields = rows[len(values)]
         if len(fields) != 2:
             raise EdgeListError(
@@ -348,35 +326,17 @@ def parse_edge_list(
         raise EdgeListError(
             f"non-integer field in {fields!r}", line_no(len(values))
         )
-    if header and not n_rows:
-        raise EdgeListError("header requested but no data lines present")
-    pairs = values[start:] - index_base
-    if start:
-        n = int(values[0, 0])
-    else:
-        n = int(pairs.max()) + 1 if len(pairs) else 0
+    n = int(values.max()) + 1 if len(values) else 0
     try:
-        g = Graph.from_edges(n, pairs, dedup=dedup)
+        return Graph.from_edges(n, values)
     except ValueError as exc:
         raise EdgeListError(str(exc)) from None
-    if start and g.n_edges != values[0, 1]:
-        raise EdgeListError(
-            f"header declares {values[0, 1]} edges but {g.n_edges} were read"
-        )
-    return g
 
 
-def load_edge_list(
-    path: str | Path,
-    index_base: int = 0,
-    dedup: bool = False,
-    header: bool = False,
-) -> Graph:
+def load_edge_list(path: str | Path) -> Graph:
     """Read an edge-list file (UTF-8); see :func:`parse_edge_list`, which
     takes its bytes."""
-    return parse_edge_list(
-        Path(path).read_bytes(), index_base=index_base, dedup=dedup, header=header
-    )
+    return parse_edge_list(Path(path).read_bytes())
 
 
 def build_laplacian(graph: Graph) -> np.ndarray:

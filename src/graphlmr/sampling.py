@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 WEIGHT_SCHEMES = ("uniform", "random", "dirac", "optimal", "optimal_dirac")
+# schemes whose weights are redrawn every trial, and those that need noise
+_PER_TRIAL = ("random", "dirac")
+_NEEDS_NOISE = ("optimal", "optimal_dirac")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +151,11 @@ def make_weights(
         raise ValueError(
             f"unknown scheme {scheme!r}; valid: {', '.join(WEIGHT_SCHEMES)}"
         )
-    if scheme in ("random", "dirac"):
+    if scheme in _PER_TRIAL:
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")
         return LocalWeights(partition, _draw(scheme, partition, [rng])[0])
-    if scheme in ("optimal", "optimal_dirac"):
+    if scheme in _NEEDS_NOISE:
         if noise is None:
             raise ValueError(f"scheme {scheme!r} requires a noise model")
         if np.any(noise.sigma <= 0):
@@ -181,7 +184,7 @@ def draw_weights(
     per trial, the normalization is one pass over the block.  A ``random``
     set whose draws sum to zero raises rather than being redrawn.
     """
-    if scheme not in ("random", "dirac"):
+    if scheme not in _PER_TRIAL:
         raise ValueError(f"draw_weights takes 'random' or 'dirac', not {scheme!r}")
     return _normalize(partition, _draw(scheme, partition, rngs))
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -48,14 +49,6 @@ def test_info_spectrum_range_matches_eigendecompose(grid20, tmp_path, capsys):
     lam_max = float(out[3].removeprefix("lambda_max: "))
     assert lam2 == pytest.approx(basis.eigenvalues[1], rel=1e-12)
     assert lam_max == pytest.approx(basis.eigenvalues[-1], rel=1e-12)
-
-
-def test_info_one_based_header(tmp_path, capsys):
-    path = tmp_path / "p3.edges"
-    path.write_text("3 2\n1 2\n2 3\n", encoding="utf-8")
-    assert main(["info", "--graph", str(path), "--index-base", "1", "--header"]) == 0
-    out = capsys.readouterr().out
-    assert "vertices: 3" in out and "edges: 2" in out
 
 
 def test_partition_writes_valid_file(edge_file, tmp_path, capsys):
@@ -154,12 +147,34 @@ def test_run_rerun_identical_bytes(tmp_path, capsys):
         lambda tmp: ["run", "--config", str(tmp / "absent.cfg")],
         lambda tmp: ["partition", "--graph", str(tmp / "bad.edges"),
                      "--nmax", "2", "--out", str(tmp / "o.txt")],
+        lambda tmp: ["run", "--config", str(tmp / "bad_edges.cfg")],
     ],
 )
 def test_errors_exit_2(tmp_path, capsys, argv_builder):
     (tmp_path / "bad.edges").write_text("0 0\n", encoding="utf-8")
+    (tmp_path / "bad_edges.cfg").write_text(
+        f"graph = edgelist\ngraph.path = {tmp_path / 'bad.edges'}\nomega = 0.1\n"
+        "schemes = uniform\n", encoding="utf-8")
     assert main(argv_builder(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--graph", "g.edges", "--nmax", "2", "--out", "o.txt", "--header"],
+    ["info", "--graph", "g.edges", "--index-base", "1"],
+])
+def test_edge_list_format_flags_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_partition_help_lists_its_three_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["partition", "--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--graph", "--nmax", "--out"}
 
 
 def test_partition_empty_edge_list_exit_2(tmp_path, capsys):

@@ -3,8 +3,9 @@ they replaced.
 
 The ``_loop_*`` functions below are the per-edge, per-line and per-set
 implementations the package used before graphs were stored as CSR arrays.
-They are kept here, unchanged apart from their names and the tuple-based
-graph they return, as oracles: the vectorized code must build the same
+They are kept here, unchanged apart from their names, the tuple-based
+graph they return and the format options the package no longer has, as
+oracles: the vectorized code must build the same
 graphs, raise the same messages and report the same partition metrics.
 """
 
@@ -25,7 +26,7 @@ from graphlmr import EdgeListError, Graph, Partition
 # Oracles: the loop implementations
 
 
-def _loop_from_edges(n_vertices, edges, dedup=False):
+def _loop_from_edges(n_vertices, edges):
     """Returns ``(n_vertices, edges, adjacency)`` tuples or raises."""
     if n_vertices < 0:
         raise ValueError("n_vertices must be nonnegative")
@@ -38,13 +39,9 @@ def _loop_from_edges(n_vertices, edges, dedup=False):
                 f"edge ({u}, {v}) out of range for {n_vertices} vertices"
             )
         if u == v:
-            if dedup:
-                continue
             raise ValueError(f"self-loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
         if e in seen:
-            if dedup:
-                continue
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
         canonical.append(e)
@@ -56,12 +53,8 @@ def _loop_from_edges(n_vertices, edges, dedup=False):
     return n_vertices, tuple(canonical), tuple(tuple(sorted(a)) for a in adj)
 
 
-def _loop_parse_edge_list(text, index_base=0, dedup=False, header=False):
-    if index_base not in (0, 1):
-        raise EdgeListError(f"index_base must be 0 or 1, got {index_base}")
+def _loop_parse_edge_list(text):
     pairs: list[tuple[int, int]] = []
-    declared: tuple[int, int] | None = None
-    expect_header = header
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -75,33 +68,14 @@ def _loop_parse_edge_list(text, index_base=0, dedup=False, header=False):
             a, b = int(fields[0]), int(fields[1])
         except ValueError:
             raise EdgeListError(f"non-integer field in {fields!r}", line_no) from None
-        if expect_header:
-            if a < 0 or b < 0:
-                raise EdgeListError("negative count in N M header", line_no)
-            declared = (a, b)
-            expect_header = False
-            continue
-        u, v = a - index_base, b - index_base
-        if u < 0 or v < 0:
-            raise EdgeListError(
-                f"vertex index below base {index_base} in ({a}, {b})", line_no
-            )
-        pairs.append((u, v))
-    if expect_header:
-        raise EdgeListError("header requested but no data lines present")
-    if declared is not None:
-        n = declared[0]
-    else:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
+        if a < 0 or b < 0:
+            raise EdgeListError(f"negative vertex index in ({a}, {b})", line_no)
+        pairs.append((a, b))
+    n = 1 + max((max(u, v) for u, v in pairs), default=-1)
     try:
-        g = _loop_from_edges(n, pairs, dedup=dedup)
+        return _loop_from_edges(n, pairs)
     except ValueError as exc:
         raise EdgeListError(str(exc)) from None
-    if declared is not None and len(g[1]) != declared[1]:
-        raise EdgeListError(
-            f"header declares {declared[1]} edges but {len(g[1])} were read"
-        )
-    return g
 
 
 def _loop_induced(adjacency, vertices):
@@ -282,14 +256,16 @@ _small = st.integers(min_value=-2, max_value=9)
 @given(
     n=st.integers(min_value=0, max_value=9),
     edges=st.lists(st.tuples(_small, _small), max_size=24),
-    dedup=st.booleans(),
+    simple=st.booleans(),
     as_array=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_from_edges_matches_loop(n, edges, dedup, as_array):
+def test_from_edges_matches_loop(n, edges, simple, as_array):
+    if simple:  # no self-loops or repeats: a graph, unless out of range
+        edges = sorted({(min(e), max(e)) for e in edges if e[0] != e[1]})
     given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
-    new = _outcome(Graph.from_edges, n, given_edges, dedup=dedup)
-    old = _outcome(_loop_from_edges, n, edges, dedup=dedup)
+    new = _outcome(Graph.from_edges, n, given_edges)
+    old = _outcome(_loop_from_edges, n, edges)
     if new[0] == "ok":
         new = "ok", _graph_tuple(new[1])
     assert new == old
@@ -300,8 +276,6 @@ def test_from_edges_first_offender_in_input_order():
     edges = [(0, 1), (2, 3), (1, 0), (4, 4), (0, 9)]
     with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         Graph.from_edges(5, edges)
-    with pytest.raises(ValueError, match=r"^edge \(0, 9\) out of range"):
-        Graph.from_edges(5, edges, dedup=True)
     with pytest.raises(ValueError, match=r"^self-loop at vertex 4$"):
         Graph.from_edges(5, edges[3:])
     # the repeat, not the edge it repeats, is the offender
@@ -309,8 +283,6 @@ def test_from_edges_first_offender_in_input_order():
         Graph.from_edges(5, [(0, 1), (2, 2), (1, 0)])
     huge = [(0, 1), (1, 1), (0, 10**20)]
     assert _outcome(Graph.from_edges, 3, huge) == _outcome(_loop_from_edges, 3, huge)
-    assert _outcome(Graph.from_edges, 3, huge, dedup=True) == _outcome(
-        _loop_from_edges, 3, huge, dedup=True)
 
 
 def test_graph_stores_only_csr_arrays():
@@ -363,65 +335,63 @@ def _edge_list_text(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
-@given(
-    text=_edge_list_text(),
-    index_base=st.sampled_from([0, 1, 0, 1, 2]),
-    dedup=st.booleans(),
-    header=st.booleans(),
-)
+@given(text=_edge_list_text())
 @settings(max_examples=300, deadline=None)
-def test_parse_edge_list_matches_loop(text, index_base, dedup, header):
-    new = _outcome(glm.parse_edge_list, text, index_base, dedup, header)
+def test_parse_edge_list_matches_loop(text):
+    new = _outcome(glm.parse_edge_list, text)
     if "vertices exceed the supported" in str(new[1]):
-        # a 10**20 vertex count (declared, or inferred from an index): the
-        # loop code would allocate that many adjacency lists, so it cannot
-        # serve as the oracle here
+        # a 10**20 vertex count, inferred from an index: the loop code would
+        # allocate that many adjacency lists, so it cannot serve as the
+        # oracle here
         assert str(10**20) in text
         return
-    old = _outcome(_loop_parse_edge_list, text, index_base, dedup, header)
+    old = _outcome(_loop_parse_edge_list, text)
     if new[0] == "ok":
         new = "ok", _graph_tuple(new[1])
     assert new == old
 
 
-@pytest.mark.parametrize("text, kwargs", [
-    ("0 1\n# c\n\n2 1\n1 0\n", {}),  # a duplicate is reported without a line
-    ("0 1\n1 x\n0 -1\n", {}),  # the first bad line wins
-    ("1 2\n0 1\n1 2 3\n", {"index_base": 1}),  # below base, then too many fields
-    ("0 1\n1 2 3 4\n", {}),  # four fields are not two edges
-    ("0 1\n2\n1 2 3\n", {}),  # nor are one and three
-    ("0 1\n2 99999999999999999999\n3 x\n", {}),  # int64 overflow, then a bad line
-    ("3 1\n0 1 2\n", {"header": True}),
-    ("-3 1\n0 1\n", {"header": True}),
-    ("# only a comment\n", {"header": True}),
-    ("4 2\n0 1\r\n\r\n2 3\n", {"header": True}),
-    ("3 1\n0 99999999999999999999\n", {"header": True}),
-    ("0 1\n1 1\n1 0\n", {"dedup": True}),
-    ("0 1\n1 2 # trailing comment\n", {}),
+@pytest.mark.parametrize("text", [
+    "0 1\n# c\n\n2 1\n1 0\n",  # a duplicate is reported without a line
+    "0 1\n1 x\n0 -1\n",  # the first bad line wins
+    "0 -1\n0 1\n1 2 3\n",  # a negative index, then too many fields
+    "0 1\n1 2 3 4\n",  # four fields are not two edges
+    "0 1\n2\n1 2 3\n",  # nor are one and three
+    "0 1\n2 99999999999999999999\n3 x\n",  # int64 overflow, then a bad line
+    "4 2\n0 1\r\n\r\n2 3\n",  # a count line reads as one more edge
+    "0 1\n1 2 # trailing comment\n",
+    "0 1\n1 1\n1 0\n",  # a self-loop is reported before the duplicate
+    "-3 1\n0 1\n",  # a negative index on the first line
+    "# only a comment\n",  # no edge at all
+    # a 1-based file, or a leading count line, reads as 0-based edges
+    "1 2\n2 3\n",
+    "1 2\n0 1\n1 2 3\n",
+    "3 2\n0 1\n1 2\n",
+    "3 1\n0 1 2\n",
     # tokens the byte reader leaves to the line-by-line read
-    ("- 1\n", {}),
-    ("--1 2\n", {}),
-    ("1-2 3\n", {}),
-    ("0 1-\n", {}),
-    ("0000000000000000007 1\n", {}),
-    ("3 1\n0 9999999999999999999\n", {"header": True}),  # 19 digits, beyond int64
+    "- 1\n",
+    "--1 2\n",
+    "1-2 3\n",
+    "0 1-\n",
+    "0000000000000000007 1\n",
+    "0 9999999999999999999\n1 x\n",  # 19 digits, beyond int64, then a bad line
     # line breaks other than \n and \r\n, in data lines and in comments
-    ("0\r1\n", {}),
-    ("# c\r0 1\n", {}),
-    ("0\x0b1\n", {}),
-    ("# c\x0b0 1\n1 2\n", {}),
-    ("0\x0c1\n", {}),
-    ("# c\x0c0 1\n", {}),
-    ("0\x1c1\n", {}),
-    ("# a\x1c1 2\n", {}),
-    ("0\x851 2\n", {}),
-    ("# a\x851 2 3\n0 1\n", {}),
-    ("0\u20281 2\n", {}),
-    ("# note\u20281 2\n0 1\n", {}),
+    "0\r1\n",
+    "# c\r0 1\n",
+    "0\x0b1\n",
+    "# c\x0b0 1\n1 2\n",
+    "0\x0c1\n",
+    "# c\x0c0 1\n",
+    "0\x1c1\n",
+    "# a\x1c1 2\n",
+    "0\x851 2\n",
+    "# a\x851 2 3\n0 1\n",
+    "0\u20281 2\n",
+    "# note\u20281 2\n0 1\n",
 ])
-def test_parse_edge_list_examples_match_loop(text, kwargs):
-    new = _outcome(glm.parse_edge_list, text, **kwargs)
-    old = _outcome(_loop_parse_edge_list, text, **kwargs)
+def test_parse_edge_list_examples_match_loop(text):
+    new = _outcome(glm.parse_edge_list, text)
+    old = _outcome(_loop_parse_edge_list, text)
     if new[0] == "ok":
         new = "ok", _graph_tuple(new[1])
     assert new == old
@@ -441,8 +411,6 @@ def test_valid_edge_lists_convert_without_a_line_loop(monkeypatch):
              "# \u00e9t\u00e9\n0 1\n1 2\n"]  # non-ASCII text in a comment
     for text in texts:
         assert glm.parse_edge_list(text).edges == ((0, 1), (1, 2))[: 2 * bool(text)]
-    assert glm.parse_edge_list("3 1\n# c\n1 3\n", index_base=1, header=True).edges == (
-        (0, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +422,7 @@ def _graph_and_partition(draw):
     n = draw(st.integers(min_value=0, max_value=10))
     vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
-    graph = Graph.from_edges(n, edges, dedup=True)
+    graph = Graph.from_edges(n, {(min(e), max(e)) for e in edges if e[0] != e[1]})
     if draw(st.booleans()) and n:
         # a valid-looking cover: shuffled vertices cut into pieces
         perm = draw(st.permutations(range(n)))
@@ -596,7 +564,8 @@ def test_greedy_matches_loop_on_larger_graphs(graph, n_max):
 )
 @settings(max_examples=200, deadline=None)
 def test_greedy_matches_loop_on_random_graphs(n, pairs, n_max):
-    g = Graph.from_edges(n, [(u, v) for u, v in pairs if u < n and v < n], dedup=True)
+    g = Graph.from_edges(
+        n, {(min(e), max(e)) for e in pairs if e[0] != e[1] and max(e) < n})
     _assert_greedy_matches_loop(g, n_max)
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 import subprocess
@@ -103,12 +102,6 @@ def test_parse_config_defaults():
          "sum to 1"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = optimal\n",
          "require noise"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "graph.header = maybe\n", "bad value"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "graph.dedup = true\n", "graph.dedup does not apply"),
-        ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
-         "schemes = uniform\ngraph.header = true\n", "graph.header does not apply"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = ,\n",
          "schemes must be nonempty"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
@@ -126,8 +119,6 @@ def test_parse_config_defaults():
          "noise = iid\nnoise.sigma = -0.1\n", "noise.sigma entries must be nonnegative"),
         ("graph = path\ngraph.n = 8\nomega =\nschemes = uniform\n",
          "empty value for 'omega'"),
-        ("graph = edgelist\ngraph.path = g.edges\ngraph.index_base = 2\nomega = 0.1\n"
-         "schemes = uniform\n", "graph.index_base must be 0 or 1"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\nn_max = 0\n",
          "n_max must be at least 1"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
@@ -160,16 +151,26 @@ def test_parse_config_defaults():
          "schemes = uniform\n", r"graph\.radius must be positive"),
         ("graph = rgg\ngraph.n = 50\ngraph.radius = 0\nomega = 0.1\n"
          "schemes = uniform\n", r"graph\.radius must be positive"),
-        # edge-list keys do not apply to other kinds, whatever their value
+        # an edge list has one format, set by no key
+        ("graph = edgelist\ngraph.path = g.edges\nomega = 0.1\nschemes = uniform\n"
+         "graph.index_base = 0\n", r"line 5: unknown key 'graph\.index_base'"),
+        ("graph = edgelist\ngraph.path = g.edges\nomega = 0.1\nschemes = uniform\n"
+         "graph.header = false\n", r"line 5: unknown key 'graph\.header'"),
+        ("graph = edgelist\ngraph.path = g.edges\nomega = 0.1\nschemes = uniform\n"
+         "graph.dedup = false\n", r"line 5: unknown key 'graph\.dedup'"),
+        # nor on any other kind, and whatever the value
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "graph.header = maybe\n", r"line 5: unknown key 'graph\.header'"),
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "graph.dedup = true\n", r"line 5: unknown key 'graph\.dedup'"),
         ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
-         "schemes = uniform\ngraph.index_base = 0\n",
-         "graph.index_base does not apply to graph = grid"),
+         "schemes = uniform\ngraph.header = true\n",
+         r"line 6: unknown key 'graph\.header'"),
         ("graph = grid\ngraph.rows = 3\ngraph.cols = 3\nomega = 0.1\n"
-         "schemes = uniform\ngraph.header = false\n",
-         "graph.header does not apply to graph = grid"),
+         "schemes = uniform\ngraph.index_base = 1\n",
+         r"line 6: unknown key 'graph\.index_base'"),
         ("graph = rgg\ngraph.n = 50\ngraph.radius = 0.3\nomega = 0.1\n"
-         "schemes = uniform\ngraph.dedup = no\n",
-         "graph.dedup does not apply to graph = rgg"),
+         "schemes = uniform\ngraph.dedup = no\n", r"line 6: unknown key 'graph\.dedup'"),
     ],
 )
 def test_parse_config_errors(text, match):
@@ -183,7 +184,7 @@ SECTION_KINDS = {
     ("graph", "path"): (("n",), ()),
     ("graph", "grid"): (("rows", "cols"), ()),
     ("graph", "rgg"): (("n", "radius"), ()),
-    ("graph", "edgelist"): (("path",), ("index_base", "header", "dedup")),
+    ("graph", "edgelist"): (("path",), ()),
     ("noise", "none"): ((), ()),
     ("noise", "iid"): (("sigma",), ()),
     ("noise", "grouped"): (("sigma",), ("fractions",)),
@@ -191,8 +192,7 @@ SECTION_KINDS = {
 # a value that parses for every key of the two sections
 SECTION_VALUES = {
     "graph.n": "8", "graph.rows": "3", "graph.cols": "3", "graph.radius": "0.3",
-    "graph.path": "g.edges", "graph.index_base": "1", "graph.header": "true",
-    "graph.dedup": "true", "noise.sigma": "0.1", "noise.fractions": "1",
+    "graph.path": "g.edges", "noise.sigma": "0.1", "noise.fractions": "1",
 }
 
 
@@ -227,19 +227,6 @@ def test_parse_config_section_keys_follow_their_kind(section, kind):
         message = rf"^{section}\.{name} does not apply to {section} = {kind}$"
         with pytest.raises(ConfigError, match=message):
             glm.parse_config(_section_config(section, kind, need + (name,)))
-
-
-def test_parse_config_edgelist_dedup(tmp_path):
-    path = tmp_path / "dup.edges"
-    path.write_text("0 1\n1 2\n2 1\n2 3\n", encoding="utf-8")
-    text = (f"graph = edgelist\ngraph.path = {path}\nomega = 0.5\nn_max = 2\n"
-            "schemes = uniform\ntrials = 2\nmax_iterations = 3\n")
-    assert glm.parse_config(text).graph.dedup is False
-    with pytest.raises(glm.EdgeListError):
-        glm.run_experiment(glm.parse_config(text))
-    cfg = glm.parse_config(text + "graph.dedup = true\n")
-    assert cfg.graph.dedup is True
-    assert glm.run_experiment(cfg).n_sets == 2
 
 
 def test_parse_config_hash_inside_value_is_kept():

@@ -76,42 +76,11 @@ def test_generators_reject_bad_arguments():
     assert glm.path_graph(np.int64(3)) == glm.path_graph(3)
 
 
-def test_from_edges_dedup_collapses():
-    g = Graph.from_edges(3, [(0, 1), (1, 0), (2, 2), (0, 1)], dedup=True)
-    assert g.edges == ((0, 1),)
-
-
 def test_parse_edge_list_basic():
     text = "# comment\n\n0 1\n1 2\n"
     g = glm.parse_edge_list(text)
     assert g.n_vertices == 3
     assert g.edges == ((0, 1), (1, 2))
-
-
-def test_parse_edge_list_header():
-    g = glm.parse_edge_list("4 2\n0 1\n2 3\n", header=True)
-    assert g.n_vertices == 4
-    assert g.edges == ((0, 1), (2, 3))
-    # header fixes N even when trailing vertices are isolated
-    g2 = glm.parse_edge_list("5 1\n0 1\n", header=True)
-    assert g2.n_vertices == 5
-    assert g2.degrees()[4] == 0
-
-
-def test_parse_edge_list_header_mismatch():
-    with pytest.raises(EdgeListError, match="declares 3 edges"):
-        glm.parse_edge_list("3 3\n0 1\n", header=True)
-    with pytest.raises(EdgeListError, match="no data lines"):
-        glm.parse_edge_list("# nothing\n", header=True)
-
-
-def test_parse_edge_list_one_based():
-    g = glm.parse_edge_list("1 2\n2 3\n", index_base=1)
-    assert g.edges == ((0, 1), (1, 2))
-    with pytest.raises(EdgeListError, match="below base"):
-        glm.parse_edge_list("0 1\n", index_base=1)
-    with pytest.raises(EdgeListError, match="index_base"):
-        glm.parse_edge_list("0 1\n", index_base=2)
 
 
 def test_parse_edge_list_malformed():
@@ -251,7 +220,8 @@ def _graph_and_vertices(draw):
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
     # unsorted, with repeats
     chosen = draw(st.lists(vertex, min_size=1, max_size=2 * n))
-    return Graph.from_edges(n, pairs, dedup=True), chosen
+    edges = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+    return Graph.from_edges(n, edges), chosen
 
 
 @given(_graph_and_vertices())
