@@ -72,12 +72,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"C_max = {report.c_max:.6g}, gamma = {report.gamma:.6g}")
     if report.gamma >= 1.0:
         print("warning: gamma >= 1, no convergence guarantee", file=sys.stderr)
-    for scheme in report.schemes:
+    for scheme in report.config.schemes:
         if report.spectral_radius[scheme] >= 1.0:
             print(f"warning: {scheme}: spectral radius "
                   f"{report.spectral_radius[scheme]:.6g} >= 1, the iteration diverges",
                   file=sys.stderr)
-    for scheme in report.schemes:
+    for scheme in report.config.schemes:
         print(f"  {scheme}: steady-state relative error "
               f"{_floored(report.mean_rel_error[scheme][-1])} "
               f"(std {_floored(report.std_rel_error[scheme][-1])})")

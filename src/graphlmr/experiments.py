@@ -132,7 +132,6 @@ class ExperimentReport:
     n_sets: int
     c_max: float
     gamma: float
-    schemes: tuple[str, ...]
     mean_rel_error: dict[str, np.ndarray]
     std_rel_error: dict[str, np.ndarray]
     steady_errors: dict[str, np.ndarray]
@@ -528,7 +527,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_sets=partition.n_sets,
         c_max=metrics.c_max,
         gamma=gamma,
-        schemes=cfg.schemes,
         mean_rel_error={s: curves[s].mean(axis=0) for s in cfg.schemes},
         std_rel_error={s: curves[s].std(axis=0) for s in cfg.schemes},
         steady_errors={s: curves[s][:, -1].copy() for s in cfg.schemes},
@@ -549,7 +547,7 @@ def format_report_csv(report: ExperimentReport) -> str:
     reruns byte-identical.
     """
     lines = ["scheme,iteration,mean_rel_error,std_rel_error"]
-    for scheme in report.schemes:
+    for scheme in report.config.schemes:
         mean = report.mean_rel_error[scheme]
         std = report.std_rel_error[scheme]
         for k in range(mean.size):
@@ -582,14 +580,14 @@ def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
                 "mean": float(report.mean_rel_error[s][-1]),
                 "std": float(report.std_rel_error[s][-1]),
             }
-            for s in report.schemes
+            for s in report.config.schemes
         },
         "iteration": {
             s: {
                 "contraction": report.contraction[s],
                 "spectral_radius": report.spectral_radius[s],
             }
-            for s in report.schemes
+            for s in report.config.schemes
         },
         "seed": report.config.seed,
         "timings": report.timings,

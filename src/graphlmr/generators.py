@@ -11,6 +11,8 @@ from .graph import Graph, is_connected
 
 __all__ = ["path_graph", "grid_graph", "random_geometric_graph"]
 
+_MAX_TRIES = 64  # point sets random_geometric_graph draws before it gives up
+
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices: 0 - 1 - ... - (n-1)."""
@@ -73,29 +75,24 @@ def _close_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
     return np.stack([i[close], j[close]], axis=1)
 
 
-def random_geometric_graph(
-    n: int,
-    radius: float,
-    rng: np.random.Generator,
-    max_tries: int = 64,
-) -> Graph:
+def random_geometric_graph(n: int, radius: float, rng: np.random.Generator) -> Graph:
     """Connected random geometric graph on the unit square.
 
     Vertices are uniform points; edges join pairs within ``radius``.
     Redraws the point set until connected (common for reasonable n / radius
-    combinations), raising after ``max_tries`` failures.
+    combinations), raising after ``_MAX_TRIES`` failures.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pts = rng.random((n, 2))
         g = Graph.from_edges(n, _close_pairs(pts, radius))
         if is_connected(g):
             return g
     raise ValueError(
-        f"no connected geometric graph in {max_tries} tries "
+        f"no connected geometric graph in {_MAX_TRIES} tries "
         f"(n={n}, radius={radius}); increase the radius"
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _records, _vertex_ids
+from .graph import Graph, _records
 
 __all__ = [
     "Partition",
@@ -34,85 +34,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Partition:
-    """A collection of vertex sets, optionally with one center per set.
+    """Nonempty vertex sets, optionally with one center per set.
 
-    Construction only enforces structure (integer vertex ids, nonempty
-    sets, matching center count); semantic requirements against a particular
-    graph (disjointness, coverage, connectivity, center membership) are
-    checked by :func:`validate_partition`, which reports violations as data.
+    Stored as CSR arrays, as :class:`Graph` is: set ``i`` is
+    ``vertices[indptr[i]:indptr[i + 1]]``, in the order given, both arrays
+    read-only int64; ``sets`` is derived on first access.  Construction only
+    enforces structure (integer ids that an int64 holds, nonempty sets,
+    matching center count); semantic requirements against a graph are
+    checked by :func:`validate_partition`, which reports them as data.
     """
 
-    sets: tuple[tuple[int, ...], ...]
-    centers: tuple[int, ...] | None = None
+    vertices: np.ndarray = field(init=False)
+    indptr: np.ndarray = field(init=False)
+    centers: tuple[int, ...] | None
 
-    def __post_init__(self):
-        sets = tuple(tuple(map(operator.index, s)) for s in self.sets)
-        if any(len(s) == 0 for s in sets):
+    def __init__(self, sets: Sequence[Sequence[int]],
+                 centers: Sequence[int] | None = None):
+        sets = tuple(sets)  # walked twice: an iterator would run out
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        vertices = _int64_ids(list(chain.from_iterable(sets)))
+        if not sizes.all():
             raise ValueError("every set must be nonempty")
-        object.__setattr__(self, "sets", sets)
-        if self.centers is not None:
-            centers = tuple(map(operator.index, self.centers))
-            if len(centers) != len(sets):
-                raise ValueError(
-                    f"{len(centers)} centers for {len(sets)} sets"
-                )
-            object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "vertices", vertices)
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        object.__setattr__(self, "indptr", _read_only(indptr))
+        if centers is not None:
+            centers = tuple(_int64_ids(list(centers)).tolist())
+            if len(centers) != len(sizes):
+                raise ValueError(f"{len(centers)} centers for {len(sizes)} sets")
+        object.__setattr__(self, "centers", centers)
 
-    @classmethod
-    def _adopt(cls, sets: tuple[tuple[int, ...], ...]) -> "Partition":
-        """Partition without centers over nonempty tuples of Python ints,
-        taken as they are."""
-        partition = cls.__new__(cls)
-        object.__setattr__(partition, "sets", sets)
-        object.__setattr__(partition, "centers", None)
-        return partition
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        ptr, flat = self.indptr.tolist(), self.vertices.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    def _key(self) -> tuple[bytes, bytes, tuple[int, ...] | None]:  # sets, centers
+        return self.indptr.tobytes(), self.vertices.tobytes(), self.centers
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_sets(self) -> int:
-        return len(self.sets)
+        return len(self.indptr) - 1
 
     def sizes(self) -> np.ndarray:
-        return self._flat[3]
-
-    @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        sizes = np.array([len(s) for s in self.sets], dtype=np.intp)
-        try:
-            verts = np.array(list(chain.from_iterable(self.sets)), dtype=np.intp)
-        except OverflowError:
-            info = np.iinfo(np.intp)
-            big = next(v for s in self.sets for v in s
-                       if not info.min <= v <= info.max)
-            raise ValueError(
-                f"partition holds vertex {big}, beyond any vertex index"
-            ) from None
-        ids = np.repeat(np.arange(len(self.sets), dtype=np.intp), sizes)
-        starts = np.cumsum(sizes) - sizes
-        for arr in (verts, ids, starts, sizes):
-            arr.flags.writeable = False
-        return verts, ids, starts, sizes
+        return _read_only(np.diff(self.indptr))
 
     def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (vertices, set_ids) arrays for vectorized gather/scatter."""
-        return self._flat[:2]
+        ids = np.repeat(np.arange(self.n_sets, dtype=np.int64), self.sizes())
+        return self.vertices, _read_only(ids)
 
     def set_starts(self) -> np.ndarray:
         """Position of each set's first member in :meth:`member_arrays`."""
-        return self._flat[2]
+        return self.indptr[:-1]
 
     def sum_by_set(self, values: np.ndarray) -> np.ndarray:
         """Sum rows aligned with :meth:`member_arrays` over each set (axis 0)."""
-        return np.add.reduceat(values, self._flat[2], axis=0)
+        return np.add.reduceat(values, self.indptr[:-1], axis=0)
 
     def check_range(self, n: int, what: str) -> None:
         """Raise ``ValueError`` unless every member is a vertex of the
         ``n``-vertex ``what`` (a signal, noise model or basis)."""
-        verts = self._flat[0]
-        if verts.size and verts.min() < 0:
-            raise ValueError(f"partition holds negative vertex {verts.min()}")
-        if verts.size and verts.max() >= n:
+        if self.vertices.size and self.vertices.min() < 0:
+            raise ValueError(f"partition holds negative vertex {self.vertices.min()}")
+        if self.vertices.size and self.vertices.max() >= n:
             raise ValueError(f"{what} shorter than the partition's vertex range")
 
     def gather(self, values: np.ndarray, what: str) -> np.ndarray:
@@ -121,10 +116,27 @@ class Partition:
         if np.ndim(values) == 0:
             raise ValueError(f"{what} must have a vertex axis, got shape ()")
         self.check_range(len(values), what)
-        return values[self._flat[0]]
+        return values[self.vertices]
 
     def with_centers(self, centers: Sequence[int]) -> "Partition":
         return Partition(sets=self.sets, centers=centers)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _int64_ids(values: list) -> np.ndarray:
+    """Integer vertex ids as a read-only int64 array; ValueError past int64."""
+    try:
+        ids = map(operator.index, values)
+        return _read_only(np.fromiter(ids, dtype=np.int64, count=len(values)))
+    except OverflowError:
+        ids = map(operator.index, values)
+        big = next(v for v in ids if not -(2**63) <= v < 2**63)
+        raise ValueError(
+            f"partition holds vertex {big}, beyond any vertex index") from None
 
 
 def greedy_partition(graph: Graph, n_max: int) -> Partition:
@@ -161,7 +173,7 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
     # hits[w]: edges from the growing set to w; nonzero only for the
     # round's touched vertices, and zeroed again when the round ends
     hits = [0] * n
-    sets: list[tuple[int, ...]] = []
+    sets: list[list[int]] = []
     remaining = n
     while remaining:
         seed = pop(heap) % n
@@ -192,9 +204,9 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
                 rank[w] -= hits[w] * n
                 push(heap, rank[w])
             hits[w] = 0
-        sets.append(tuple(members))
+        sets.append(members)
         remaining -= size
-    return Partition._adopt(tuple(sets))
+    return Partition(sets)
 
 
 @dataclass(frozen=True)
@@ -275,37 +287,32 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
     """Violations of :func:`validate_partition` plus the reach they came from."""
     n, n_sets = graph.n_vertices, partition.n_sets
-    try:
-        members, ids = partition.member_arrays()
-        sizes = partition.sizes()
-    except ValueError:  # a member no int64 holds: a violation to report
-        sizes = np.fromiter(map(len, partition.sets), dtype=np.intp, count=n_sets)
-        members = list(chain.from_iterable(partition.sets))
-        ids = np.repeat(np.arange(n_sets), sizes)
-    verts = _vertex_ids(members, n)
-    in_range = verts >= 0
-    # sets holding an out-of-range vertex are reported from their own tuples
-    # (the vertex as given) and not searched
-    bad = np.zeros(n_sets, dtype=bool)
-    bad[ids[~in_range]] = True
-    # the distinct in-range (set, vertex) pairs, sorted by set and then vertex
-    key = np.sort(ids[in_range] * n + verts[in_range])
+    members, ids = partition.member_arrays()
+    # an out-of-range vertex gets code n + (where its first copy sits among
+    # the sorted out-of-range vertices): equal ones share a code, in order
+    out = (members < 0) | (members >= n)
+    outside = np.sort(members[out])
+    code = np.where(out, n + np.searchsorted(outside, members), members)
+    width = max(n + len(outside), 1)
+    # the distinct (set, code) pairs, sorted by set and then code
+    key = np.sort(ids * width + code)
     distinct = np.ones(len(key), dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
-    s, v = np.divmod(key[distinct], max(n, 1))
-    repeated = np.bincount(s, minlength=n_sets) != sizes
+    s, v = np.divmod(key[distinct], width)
+    repeated = np.bincount(s, minlength=n_sets) != partition.sizes()
+    out = v >= n
+    # sets holding an out-of-range vertex are reported, not searched
+    bad = np.bincount(s[out], minlength=n_sets) > 0
+    # each event sorts by (set, 0) for a repeat, (set, 1, vertex) otherwise
+    events = [((i, 1, x), f"set {i}: vertex {x} out of range [0, {n})")
+              for i, x in zip(s[out].tolist(), outside[v[out] - n].tolist())]
+    s, v = s[~out], v[~out]
     # first[x] = lowest set holding vertex x (n_sets when none does)
-    first = np.full(n, n_sets, dtype=np.intp)
+    first = np.full(n, n_sets, dtype=np.int64)
     np.minimum.at(first, v, s)
     overlap = np.flatnonzero(first[v] != s)
-    # each event sorts by (set, 0) for a repeat, (set, 1, vertex) otherwise
-    events = [((i, 1, x), f"vertex {x} appears in sets {first[x]} and {i}")
-              for i, x in zip(s[overlap].tolist(), v[overlap].tolist())]
-    for i in np.flatnonzero(bad).tolist():
-        members = partition.sets[i]
-        repeated[i] = len(set(members)) != len(members)
-        events += [((i, 1, x), f"set {i}: vertex {x} out of range [0, {n})")
-                   for x in set(members) if not 0 <= x < n]
+    events += [((i, 1, x), f"vertex {x} appears in sets {first[x]} and {i}")
+               for i, x in zip(s[overlap].tolist(), v[overlap].tolist())]
     events += [((i, 0), f"set {i}: repeated vertex within the set")
                for i in np.flatnonzero(repeated).tolist()]
     violations = [msg for _, msg in sorted(events)]
@@ -320,12 +327,16 @@ def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Re
         violations += [f"set {i}: induced subgraph is disconnected"
                        for i in sets[~connected].tolist()]
     if partition.centers is not None:
-        violations += [
-            f"set {i}: center {c} is not a member"
-            for i, (c, members) in enumerate(zip(partition.centers, partition.sets))
-            if c not in members
-        ]
+        violations += _at_centers(partition)[1]
     return violations, reach
+
+
+def _at_centers(partition: Partition) -> tuple[np.ndarray, list[str]]:
+    """Members at their set's center (a mask), and a violation per set without."""
+    at_center = partition.vertices == np.repeat(partition.centers, partition.sizes())
+    outside = np.flatnonzero(partition.sum_by_set(at_center) == 0)
+    return at_center, [f"set {i}: center {partition.centers[i]} is not a member"
+                       for i in outside.tolist()]
 
 
 def validate_partition(graph: Graph, partition: Partition) -> list[str]:
@@ -367,9 +378,7 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
     if violations:
         raise ValueError(f"invalid partition: {violations[0]}")
     sizes = partition.sizes().tolist()
-    diameters = (
-        np.maximum.reduceat(reach.dist, reach.block).tolist() if sizes else []
-    )
+    diameters = np.maximum.reduceat(reach.dist, reach.block).tolist() if sizes else []
     c_max = max(
         math.sqrt(n * d) for n, d in zip(sizes, diameters)
     ) if sizes else 0.0
@@ -378,8 +387,7 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
             sizes=tuple(sizes), diameters=tuple(diameters), c_max=c_max
         )
     # a center's position in the union is its rank within its sorted set
-    verts, ids = partition.member_arrays()
-    below = verts < np.array(partition.centers, dtype=np.intp)[ids]
+    below = partition.vertices < np.repeat(partition.centers, partition.sizes())
     origin = reach.start + partition.sum_by_set(below.astype(np.intp))
     dist, counts = _search(reach.union, origin, np.zeros_like(origin),
                            reach.union.n_vertices, branches=True)
@@ -427,8 +435,8 @@ def parse_partition(text: str) -> Partition:
         except ValueError:
             raise ValueError(f"line {line_no}: non-integer vertex {tok!r}") from None
 
-    return Partition(sets=tuple(tuple(vertex(line_no, tok) for tok in fields)
-                                for line_no, fields in _records(text)))
+    return Partition([[vertex(line_no, tok) for tok in fields]
+                      for line_no, fields in _records(text)])
 
 
 def write_partition(partition: Partition, path: str | Path) -> None:

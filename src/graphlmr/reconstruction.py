@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .localsets import Partition
+from .localsets import Partition, _at_centers
 from .sampling import LocalWeights, make_weights
 from .spectral import SpectralBasis
 
@@ -123,7 +123,7 @@ class BandOperator:
 
     def _flat(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
         if isinstance(weights, LocalWeights):
-            if weights.partition.sets != self.partition.sets:
+            if weights.partition._key()[:2] != self.partition._key()[:2]:  # the sets
                 raise ValueError("weights belong to a different partition")
             return weights.flat
         if weights.ndim != 2 or weights.shape[1] != self._rows.shape[0]:
@@ -312,11 +312,8 @@ def ipr(
     """
     if partition.centers is None:
         raise ValueError("ipr requires a partition with centers")
-    verts, ids = partition.member_arrays()
-    at_center = verts == np.array(partition.centers)[ids]
-    outside = np.flatnonzero(partition.sum_by_set(at_center) == 0)
-    if outside.size:
-        i = int(outside[0])
-        raise ValueError(f"set {i}: center {partition.centers[i]} is not a member")
+    at_center, outside = _at_centers(partition)
+    if outside:
+        raise ValueError(outside[0])
     weights = LocalWeights(partition, at_center)
     return ilmr(decimated, partition, weights, basis, config, c_max=q_max)

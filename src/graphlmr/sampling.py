@@ -55,7 +55,7 @@ class NoiseModel:
 @dataclass(frozen=True, eq=False)
 class LocalWeights:
     """Convex weights for every set, ``flat`` in partition member order;
-    ``values[i][j]``, a view of it, weights vertex ``partition.sets[i][j]``.
+    ``values[i][j]``, a view of it, weights the ``j``-th member of set ``i``.
 
     The constructor copies ``flat``, renormalizes every set to sum 1 and
     rejects negative entries or all-zero sets; sets already summing to 1
@@ -67,7 +67,7 @@ class LocalWeights:
 
     def __post_init__(self):
         flat = np.asarray(self.flat, dtype=np.float64)
-        verts, _ = self.partition.member_arrays()
+        verts = self.partition.vertices
         if flat.shape != verts.shape:
             raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
         flat = _normalize(self.partition, flat.copy())
@@ -115,12 +115,11 @@ def _draw(
 ) -> np.ndarray:
     """Raw ``random`` or ``dirac`` weights, (T, |V|): row t takes one
     ``random(|V|)`` or ``integers(sizes)`` call on ``rngs[t]``."""
-    _, ids = partition.member_arrays()
     sizes, starts = partition.sizes(), partition.set_starts()
-    w = np.zeros((len(rngs), ids.size))
+    w = np.zeros((len(rngs), partition.vertices.size))
     if scheme == "random":
         for t, rng in enumerate(rngs):
-            w[t] = rng.random(ids.size)
+            w[t] = rng.random(w.shape[1])
     elif rngs:
         picks = np.array([rng.integers(sizes) for rng in rngs])
         w[np.arange(len(rngs))[:, None], starts + picks] = 1.0

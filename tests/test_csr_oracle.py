@@ -430,24 +430,24 @@ def _graph_and_partition(draw):
         bounds = [0, *[c for c in cuts if c < n], n]
         sets = [tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
     else:
-        # 10**20 and -10**20 fit no int64: still out of range, as given
+        # 2**62 and -2**62 fit an int64 but are far out of range, as given
         member = st.one_of(st.integers(min_value=-2, max_value=n + 1),
-                           st.sampled_from([10**20, -10**20]))
+                           st.sampled_from([2**62, -2**62]))
         sets = draw(st.lists(st.lists(member, min_size=1, max_size=5).map(tuple),
                              max_size=5))
     centers = None
     if sets and draw(st.booleans()):
         centers = tuple(draw(st.sampled_from(s)) if draw(st.integers(0, 4)) else
                         draw(st.one_of(st.integers(min_value=-1, max_value=n),
-                                       st.just(10**20))) for s in sets)
+                                       st.just(2**62))) for s in sets)
     return graph, Partition(sets=tuple(sets), centers=centers)
 
 
 @given(_graph_and_partition())
 @example((glm.path_graph(3), Partition(sets=((0, 0, 1), (2,)))))
-@example((glm.path_graph(4), Partition(sets=((0, 1), (1, 10**20, -3, 2, 3, 3)))))
-@example((glm.path_graph(4), Partition(sets=((0, 1, 10**21), (10**20, 2, 3, -10**20)),
-                                       centers=(10**20, 2))))
+@example((glm.path_graph(4), Partition(sets=((0, 1), (1, 2**62, -3, 2, 3, 3)))))
+@example((glm.path_graph(4), Partition(sets=((0, 1, 2**63 - 1), (2**62, 2, 3, -2**62)),
+                                       centers=(2**62, 2))))
 @settings(max_examples=400, deadline=None)
 def test_validate_and_metrics_match_per_set_bfs(case):
     graph, partition = case
@@ -569,7 +569,8 @@ def test_greedy_matches_loop_on_random_graphs(n, pairs, n_max):
     _assert_greedy_matches_loop(g, n_max)
 
 
-def test_random_geometric_graph_matches_distance_table():
+def test_random_geometric_graph_matches_distance_table(monkeypatch):
+    monkeypatch.setattr(glm.generators, "_MAX_TRIES", 4)
     connected = 0
     for seed in range(240):
         n = 20 + (seed * 37) % 140
@@ -578,7 +579,7 @@ def test_random_geometric_graph_matches_distance_table():
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         old = _loop_rgg_edges(n, radius, old_rng, max_tries=4)
         try:
-            new = glm.random_geometric_graph(n, radius, new_rng, max_tries=4).edges
+            new = glm.random_geometric_graph(n, radius, new_rng).edges
         except ValueError:
             new = None
         assert new == old, seed

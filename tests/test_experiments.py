@@ -243,7 +243,7 @@ def test_parse_config_hash_inside_value_is_kept():
 def test_run_experiment_noise_free_converges():
     report = glm.run_experiment(glm.parse_config(GRID_CFG))
     assert report.gamma < 1
-    for scheme in report.schemes:
+    for scheme in report.config.schemes:
         curve = report.mean_rel_error[scheme]
         assert curve.shape == (41,)
         assert curve[-1] < 1e-8
@@ -255,7 +255,7 @@ def test_run_experiment_deterministic():
     a = glm.run_experiment(glm.parse_config(GRID_CFG))
     b = glm.run_experiment(glm.parse_config(GRID_CFG))
     assert format_report_csv(a) == format_report_csv(b)
-    for scheme in a.schemes:
+    for scheme in a.config.schemes:
         assert np.array_equal(a.steady_errors[scheme], b.steady_errors[scheme])
 
 
@@ -318,9 +318,9 @@ def test_run_experiment_curve_lengths_match():
         "trials = 4\nmax_iterations = 25\nseed = 1\n"
     )
     report = glm.run_experiment(cfg)
-    lengths = {report.mean_rel_error[s].size for s in report.schemes}
+    lengths = {report.mean_rel_error[s].size for s in report.config.schemes}
     assert lengths == {26}
-    assert all(report.steady_errors[s].size == 4 for s in report.schemes)
+    assert all(report.steady_errors[s].size == 4 for s in report.config.schemes)
 
 
 def test_smaller_nmax_converges_in_fewer_iterations():
@@ -481,7 +481,7 @@ def test_meta_sidecar(tmp_path):
     }
     # the radius never exceeds the norm; they agree (to rounding) when I - M
     # is symmetric, as under uniform weights
-    for s in report.schemes:
+    for s in report.config.schemes:
         assert 0.0 <= report.spectral_radius[s] <= report.contraction[s] * (1 + 1e-12)
         assert report.contraction[s] < 1.0
 

@@ -117,6 +117,38 @@ def test_partition_constructor_structural_checks():
     assert all(type(v) is int for v in (*p.sets[0], *p.sets[1], *p.centers))
 
 
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 10**20, -(10**20)])
+def test_partition_ids_beyond_int64_raise_at_construction(big):
+    match = f"^partition holds vertex {big}, beyond any vertex index$"
+    with pytest.raises(ValueError, match=match):
+        Partition(sets=((0, 1), (2, big, 3)))
+    with pytest.raises(ValueError, match=match):
+        Partition(sets=((0, 1), (2,)), centers=(1, big))
+    with pytest.raises(ValueError, match=match):
+        Partition(sets=((0, 1), (2,))).with_centers([0, big])
+    with pytest.raises(ValueError, match=match):
+        glm.localsets.parse_partition(f"0 1\n# comment\n2 {big} 3\n")
+    # the int64 extremes are vertex ids, and validation reports them as data
+    edge = Partition(sets=((0, 2**63 - 1), (-(2**63),)))
+    assert edge.sets == ((0, 2**63 - 1), (-(2**63),))
+    assert glm.validate_partition(glm.path_graph(1), edge) == [
+        f"set 0: vertex {2**63 - 1} out of range [0, 1)",
+        f"set 1: vertex {-(2**63)} out of range [0, 1)",
+    ]
+
+
+def test_partition_is_stored_as_csr_arrays():
+    p = Partition(sets=([3, 1], (0,), np.array([2, 4])), centers=[1, 0, 4])
+    assert p.vertices.dtype == np.int64 and p.indptr.dtype == np.int64
+    assert p.vertices.tolist() == [3, 1, 0, 2, 4] and p.indptr.tolist() == [0, 2, 3, 5]
+    assert not p.vertices.flags.writeable and not p.indptr.flags.writeable
+    assert p.sets == ((3, 1), (0,), (2, 4)) and p.centers == (1, 0, 4)
+    assert p == Partition(sets=p.sets, centers=p.centers)
+    assert hash(p) == hash(Partition(sets=p.sets, centers=p.centers))
+    assert p != Partition(sets=p.sets) and p != Partition(sets=((3, 1), (0, 2, 4)))
+    assert Partition(s for s in p.sets) == Partition(sets=p.sets)
+
+
 def test_partition_member_arrays():
     p = Partition(sets=((3, 1), (0,), (2, 4)))
     verts, ids = p.member_arrays()
