@@ -5,11 +5,13 @@ bandlimited signal and a noise vector, measures with each weight scheme, and
 reconstructs; it logs the relative error per iteration against the noise-free
 truth.  Everything is derived from one integer seed through named
 SeedSequence streams, so adding trials or schemes never disturbs the draws
-of the others, and rerunning a config reproduces its CSV byte for byte.
+of the others.  Rerun CSVs are byte-identical for one numpy, BLAS kernel and
+thread count; across those the rgg configs agree within rtol 1e-9, atol 1e-12.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import re
@@ -41,7 +43,6 @@ __all__ = [
     "write_report_csv",
     "format_report_csv",
     "write_report_meta",
-    "bootstrap_gap_quantile",
 ]
 
 # Stages of run_experiment, in order, as keys of ExperimentReport.timings.
@@ -54,12 +55,6 @@ _STREAM_GROUPS = 102
 _STREAM_SIGNAL = 103
 _STREAM_NOISE = 104
 _STREAM_WEIGHTS = 105
-
-# bootstrap_gap_quantile: paired resamples, their seed, and the lower
-# quantile reported (one-sided 95% confidence)
-_GAP_RESAMPLES = 4000
-_GAP_SEED = 0
-_GAP_QUANTILE = 0.05
 
 
 class ConfigError(ValueError):
@@ -461,6 +456,8 @@ def _resolve_omega(cfg: ExperimentConfig, basis: SpectralBasis) -> float:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run all trials of a config; deterministic in cfg.seed."""
+    # numpy.random, deferred at package import, must load before the first mark
+    importlib.import_module("numpy.random")
     timings = dict.fromkeys(_STAGES, 0.0)
     mark = time.perf_counter()
 
@@ -482,6 +479,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     omega = _resolve_omega(cfg, basis)
     n_max = cfg.n_max if cfg.n_max is not None else suggest_nmax(omega)
     partition = greedy_partition(graph, n_max)
+    band_dim = basis.band_dim(omega)
+    if partition.n_sets < band_dim:  # A = Phi U_b cannot have full column rank
+        raise ConfigError(f"{partition.n_sets} sets cannot determine a band of "
+                          f"dimension {band_dim}; lower n_max or the band")
     finish("partition")
     metrics = partition_metrics(graph, partition)
     gamma = metrics.c_max * math.sqrt(omega)
@@ -522,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=cfg,
         omega=omega,
-        band_dim=basis.band_dim(omega),
+        band_dim=band_dim,
         n_max=n_max,
         n_sets=partition.n_sets,
         c_max=metrics.c_max,
@@ -543,8 +544,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def format_report_csv(report: ExperimentReport) -> str:
     """CSV body: scheme,iteration,mean_rel_error,std_rel_error.
 
-    Floats are serialized with repr (shortest round-trip form), which makes
-    reruns byte-identical.
+    Floats are serialized with repr (shortest round-trip form): reruns are
+    byte-identical for one numpy, BLAS kernel and thread count, and across
+    those the rgg configs agree within rtol 1e-9, atol 1e-12.
     """
     lines = ["scheme,iteration,mean_rel_error,std_rel_error"]
     for scheme in report.config.schemes:
@@ -597,22 +599,3 @@ def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
-
-def bootstrap_gap_quantile(smaller: np.ndarray, larger: np.ndarray) -> float:
-    """Lower ``_GAP_QUANTILE`` quantile of mean(larger - smaller) over
-    ``_GAP_RESAMPLES`` paired resamples drawn with seed ``_GAP_SEED``.
-
-    A positive return value supports "smaller beats larger" at the
-    (1 - quantile) one-sided confidence level.  Pairing is by trial, which
-    is valid here because all schemes in a run share each trial's signal
-    and noise draw.
-    """
-    a = np.asarray(smaller, dtype=np.float64)
-    b = np.asarray(larger, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError("need two equally sized nonempty 1-d samples")
-    diffs = b - a
-    rng = np.random.default_rng(_GAP_SEED)
-    idx = rng.integers(0, diffs.size, size=(_GAP_RESAMPLES, diffs.size))
-    means = diffs[idx].mean(axis=1)
-    return float(np.quantile(means, _GAP_QUANTILE))

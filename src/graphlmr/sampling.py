@@ -80,14 +80,6 @@ class LocalWeights:
         starts, sizes = self.partition.set_starts(), self.partition.sizes()
         return tuple(self.flat[a:a + m] for a, m in zip(starts, sizes))
 
-    def to_matrix(self, n_vertices: int) -> np.ndarray:
-        """Dense (n_sets, n_vertices) matrix whose rows are the weight vectors."""
-        self.partition.check_range(n_vertices, "matrix")
-        mat = np.zeros((self.partition.n_sets, n_vertices))
-        verts, ids = self.partition.member_arrays()
-        mat[ids, verts] = self.flat
-        return mat
-
 
 def _normalize(partition: Partition, flat: np.ndarray) -> np.ndarray:
     """Scale each set's weights to sum 1, in place: one vector (|V|,) or one

@@ -39,39 +39,25 @@ class SpectralBasis:
 
     ``eigenvalues`` is finite and ascending; column ``k`` of ``eigenvectors``
     is the unit eigenvector for ``eigenvalues[k]``.  Arrays are read-only;
-    the constructor copies what it is given, so later changes to the
-    caller's arrays never reach the basis.
+    the constructor copies what it is given, the vectors in C order, so
+    later changes to the caller's arrays never reach the basis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        self._freeze(copy=True)
-
-    @classmethod
-    def _adopt(cls, vals: np.ndarray, vecs: np.ndarray) -> "SpectralBasis":
-        """Basis over arrays no caller holds, frozen in place without a copy."""
-        basis = cls.__new__(cls)
-        object.__setattr__(basis, "eigenvalues", vals)
-        object.__setattr__(basis, "eigenvectors", vecs)
-        basis._freeze(copy=False)
-        return basis
-
-    def _freeze(self, copy: bool) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.float64)
+        vals = np.array(self.eigenvalues, dtype=np.float64)
+        vecs = np.array(self.eigenvectors, dtype=np.float64, order="C")
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues must be (n,), eigenvectors (n, n)")
         if not np.isfinite(vals).all():
             raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
-        # eigh's vectors are finite when its input is; a caller's may not be
-        if copy and not np.isfinite(vecs).all():
+        # max and min carry a NaN or inf through without an n x n temporary
+        if vecs.size and not math.isfinite(max(vecs.max(), -vecs.min())):
             raise ValueError("eigenvectors must be finite")
-        if copy:
-            vals, vecs = vals.copy(), vecs.copy()
         vals.flags.writeable = False
         vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -121,15 +107,14 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"laplacian must be square, got shape {lap.shape}")
     _check_symmetric(lap)
+    solved = None
     if (owned and lap.shape[0] >= _IN_PLACE_MIN_N
             and lap.flags.c_contiguous and lap.flags.writeable):
         solved = _eigh_in_place(lap)
-        if solved is not None:
-            # one C-order copy, made after the workspace is freed: products
-            # over it round as they do over np.linalg.eigh's vectors
-            return SpectralBasis._adopt(solved[0], np.ascontiguousarray(solved[1]))
-    vals, vecs = np.linalg.eigh(lap)
-    return SpectralBasis._adopt(vals, vecs)
+    # the basis copies the vectors in C order once the solver's workspace is
+    # freed, so products over them round alike whichever solver ran
+    vals, vecs = solved if solved is not None else np.linalg.eigh(lap)
+    return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _eigh_in_place(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import graphlmr as glm
+from oracles import bootstrap_gap_quantile, to_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -167,10 +168,10 @@ def test_6_grouped_noise_weight_ordering():
     uni = report.mean_rel_error["uniform"][-1]
     od = report.mean_rel_error["optimal_dirac"][-1]
     assert opt < uni < od
-    q_opt = glm.bootstrap_gap_quantile(
+    q_opt = bootstrap_gap_quantile(
         report.steady_errors["optimal"], report.steady_errors["uniform"]
     )
-    q_uni = glm.bootstrap_gap_quantile(
+    q_uni = bootstrap_gap_quantile(
         report.steady_errors["uniform"], report.steady_errors["optimal_dirac"]
     )
     assert q_opt > 0.0 and q_uni > 0.0
@@ -192,7 +193,7 @@ def test_7_iid_noise_snr_sweep_ordering():
         report = glm.run_experiment(config)
         assert report.gamma < 1.0
         for scheme in ("uniform", "random"):
-            gap = glm.bootstrap_gap_quantile(
+            gap = bootstrap_gap_quantile(
                 report.steady_errors[scheme], report.steady_errors["dirac"]
             )
             assert gap > 0.0, f"SNR {snr_db} dB: {scheme} vs dirac not significant"
@@ -222,7 +223,7 @@ def test_9_aggregate_noise_statistics(grid20_pairs):
     assert partition.n_sets == 200
     sigma = 0.01
     weights = glm.make_weights("uniform", partition)
-    phi = weights.to_matrix(400)
+    phi = to_matrix(weights, 400)
     rng = np.random.default_rng(123)
     draws = rng.standard_normal((10_000, 400)) * sigma
     per_set = np.abs(draws @ phi.T)  # |n_i|, one row per draw

@@ -1,7 +1,7 @@
 """The band-coordinate iteration against two oracles.
 
 The dense oracle runs f <- f + U U^T S (m - Phi f) on length-n vectors with
-a dense Phi (``LocalWeights.to_matrix``) and a dense membership matrix S,
+a dense Phi (``oracles.to_matrix``) and a dense membership matrix S,
 the textbook form of the ILMR sweep.  The measurement-space oracle runs
 c <- c + B^T (m - A c) on the band coefficients with |I|-length residuals.
 The package sweeps c <- c + r - M c with the k x k gain M = B^T A instead;
@@ -21,6 +21,7 @@ from graphlmr.experiments import (
     _build_noise_model,
     _rng,
 )
+from oracles import to_matrix
 
 
 def spread_matrix(partition, n):
@@ -35,7 +36,7 @@ def oracle(basis, omega, partition, weights, m, sweeps, stop_tolerance=0.0,
     """Dense ILMR: returns (estimate, iterations, stop_reason, error trace)."""
     ub = basis.band_vectors(omega)
     proj = ub @ ub.T
-    phi = weights.to_matrix(basis.n)
+    phi = to_matrix(weights, basis.n)
     spread = spread_matrix(partition, basis.n)
     f = proj @ spread @ m
     errors = [np.linalg.norm(f - truth)] if truth is not None else None
@@ -152,7 +153,7 @@ def test_run_experiment_matches_dense_oracle(offband):
         for j, scheme in enumerate(cfg.schemes):
             weights = glm.make_weights(scheme, partition, noise=model,
                                        rng=_rng(9, _STREAM_WEIGHTS, t, j))
-            m = weights.to_matrix(graph.n_vertices) @ observed
+            m = to_matrix(weights, graph.n_vertices) @ observed
             *_, errors = oracle(basis, 0.3, partition, weights, m, 25, truth=f)
             curves[scheme].append(errors / np.linalg.norm(f))
             it = np.eye(op.bt.shape[0]) - op.bt @ op.measurement_matrix(weights)

@@ -119,6 +119,21 @@ def test_failed_run_makes_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_run_with_fewer_sets_than_band_dimensions_exit_2(tmp_path, capsys):
+    # sets of up to 16 vertices cut the 8 x 8 grid into 4 sets; 4 readings
+    # cannot determine 9 band coefficients
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 9")
+                   .replace("n_max = 2", "n_max = 16"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 4 sets cannot determine a band of dimension 9; "
+                   "lower n_max or the band\n")
+    assert not out_dir.exists()
+
+
 def test_run_writes_to_the_working_directory_by_default(tmp_path, capsys,
                                                         monkeypatch):
     cfg = tmp_path / "exp.cfg"

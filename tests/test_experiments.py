@@ -19,6 +19,7 @@ from graphlmr.experiments import (
     _trial_rngs,
     format_report_csv,
 )
+from oracles import bootstrap_gap_quantile
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -427,7 +428,7 @@ def test_iid_noise_dirac_trails_averaging_weights(rgg300_sets3):
     report = glm.run_experiment(cfg)
     assert report.gamma < 1
     for scheme in ("uniform", "random"):
-        gap = glm.bootstrap_gap_quantile(
+        gap = bootstrap_gap_quantile(
             report.steady_errors[scheme], report.steady_errors["dirac"]
         )
         assert gap > 0.0, f"{scheme} did not beat dirac at 95% confidence"
@@ -595,10 +596,33 @@ def test_bootstrap_gap_quantile():
     rng = np.random.default_rng(0)
     small = rng.normal(1.0, 0.1, size=200)
     large = small + 0.5
-    assert glm.bootstrap_gap_quantile(small, large) > 0.0
-    assert glm.bootstrap_gap_quantile(small, small) <= 0.0
+    assert bootstrap_gap_quantile(small, large) > 0.0
+    assert bootstrap_gap_quantile(small, small) <= 0.0
     with pytest.raises(ValueError):
-        glm.bootstrap_gap_quantile(small, large[:10])
+        bootstrap_gap_quantile(small, large[:10])
+
+
+def test_numpy_random_loads_before_the_first_stage_mark():
+    # importing the package leaves numpy.random unloaded (where numpy does);
+    # a run loads it before it starts timing, so no stage pays for it
+    code = (
+        "import sys, time, types\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import graphlmr as glm\n"
+        "deferred = eager or 'numpy.random' not in sys.modules\n"
+        "seen = []\n"
+        "def clock():\n"
+        "    seen.append('numpy.random' in sys.modules)\n"
+        "    return time.perf_counter()\n"
+        "glm.experiments.time = types.SimpleNamespace(perf_counter=clock)\n"
+        f"glm.run_experiment(glm.parse_config({GRID_CFG!r}))\n"
+        "print(deferred, seen[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(glm.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "True True"
 
 
 def test_desk_scale_run_never_imports_scipy(tmp_path):

@@ -115,18 +115,41 @@ def test_basis_arrays_read_only(p4):
         basis.eigenvectors[0, 0] = 7.0
 
 
+def _recorder(solver, solved):
+    """``solver`` that appends a copy of each output, in its layout, to ``solved``."""
+    def run(a):
+        vals, vecs = solver(a)
+        solved.append((vals.copy(), vecs.copy(order="K")))
+        return vals, vecs
+    return run
+
+
+def _assert_holds_copies(basis, solved, lap):
+    # read-only C-order arrays, bitwise the solver's output, in new memory
+    assert len(solved) == 1
+    for got, want in zip((basis.eigenvalues, basis.eigenvectors), solved[0]):
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(basis.eigenvectors, lap)
+
+
 def test_eigendecompose_keeps_the_solver_arrays(monkeypatch):
     solved = []
+    monkeypatch.setattr(np.linalg, "eigh", _recorder(np.linalg.eigh, solved))
+    lap = glm.build_laplacian(glm.path_graph(4))
+    _assert_holds_copies(glm.eigendecompose(lap), solved, lap)
 
-    def eigh(a):
-        solved.append(real_eigh(a))
-        return solved[-1]
 
-    real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(4)))
-    assert basis.eigenvalues is solved[0][0]
-    assert basis.eigenvectors is solved[0][1]
+def test_eigendecompose_keeps_the_in_place_arrays(monkeypatch):
+    pytest.importorskip("scipy.linalg")
+    solved = []
+    monkeypatch.setattr(spectral, "_IN_PLACE_MIN_N", 1)
+    monkeypatch.setattr(spectral, "_eigh_in_place",
+                        _recorder(spectral._eigh_in_place, solved))
+    lap = glm.build_laplacian(glm.path_graph(4))
+    basis = glm.eigendecompose(spectral._Owned(lap))
+    assert solved[0][1].flags.f_contiguous  # dsyevd's layout
+    _assert_holds_copies(basis, solved, lap)
 
 
 def test_basis_copies_caller_arrays(p4):
