@@ -7,7 +7,6 @@ reconstruction quality is controlled by the per-set score sqrt(|N| * D)
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import operator
@@ -61,16 +60,11 @@ class Partition:
         object.__setattr__(self, "vertices", vertices)
         indptr = np.concatenate(([0], np.cumsum(sizes)))
         object.__setattr__(self, "indptr", _read_only(indptr))
-        object.__setattr__(self, "centers", self._checked_centers(centers))
-
-    def _checked_centers(self, centers: Sequence[int] | None) -> tuple[int, ...] | None:
-        """``centers`` as Python ints, one per set of this partition."""
-        if centers is None:
-            return None
-        centers = tuple(_int64_ids(list(centers)).tolist())
-        if len(centers) != self.n_sets:
-            raise ValueError(f"{len(centers)} centers for {self.n_sets} sets")
-        return centers
+        if centers is not None:
+            centers = tuple(_int64_ids(list(centers)).tolist())
+            if len(centers) != len(sizes):
+                raise ValueError(f"{len(centers)} centers for {len(sizes)} sets")
+        object.__setattr__(self, "centers", centers)
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -125,11 +119,7 @@ class Partition:
         return values[self.vertices]
 
     def with_centers(self, centers: Sequence[int]) -> "Partition":
-        """The same sets with ``centers``, sharing this partition's arrays."""
-        centers = self._checked_centers(centers)
-        other = copy.copy(self)
-        object.__setattr__(other, "centers", centers)
-        return other
+        return Partition(sets=self.sets, centers=centers)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

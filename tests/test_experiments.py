@@ -602,27 +602,41 @@ def test_bootstrap_gap_quantile():
         bootstrap_gap_quantile(small, large[:10])
 
 
-def test_numpy_random_loads_before_the_first_stage_mark():
+@pytest.mark.parametrize("cfg_text, drawn", [
+    (GRID_CFG, False),
+    ("graph = rgg\ngraph.n = 60\ngraph.radius = 0.3\nband_dim = 4\ntrials = 2\n"
+     "max_iterations = 5\nnoise = iid\nnoise.sigma = 0.1\nschemes = uniform\n", True),
+])
+def test_no_stage_is_charged_for_loading_numpy_random(cfg_text, drawn):
     # importing the package leaves numpy.random unloaded (where numpy does);
-    # a run loads it before it starts timing, so no stage pays for it
+    # a run loads it where it is first needed, and the import, made to take
+    # 1000 s of a fake clock, shows in no stage; a grid loads it after the
+    # solver, so that its pages stay off the solver's memory peak
     code = (
-        "import sys, time, types\n"
+        "import importlib.abc, sys, types\n"
         "import numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
         "import graphlmr as glm\n"
         "deferred = eager or 'numpy.random' not in sys.modules\n"
-        "seen = []\n"
+        "now, loaded = [0.0], []\n"
+        "class Slow(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy.random':\n"
+        "            now[0] += 1000.0\n"
+        "sys.meta_path.insert(0, Slow())\n"
         "def clock():\n"
-        "    seen.append('numpy.random' in sys.modules)\n"
-        "    return time.perf_counter()\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    now[0] += 1.0\n"
+        "    return now[0]\n"
         "glm.experiments.time = types.SimpleNamespace(perf_counter=clock)\n"
-        f"glm.run_experiment(glm.parse_config({GRID_CFG!r}))\n"
-        "print(deferred, seen[0])\n"
+        f"report = glm.run_experiment(glm.parse_config({cfg_text!r}))\n"
+        "print(deferred, max(report.timings.values()) < 1000.0, loaded[0], loaded[3])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(glm.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "True True"
+    # loaded[3]: numpy.random's state when the eigendecompose stage ends
+    assert proc.stdout.splitlines()[-1] == f"True True {drawn} {drawn}"
 
 
 def test_desk_scale_run_never_imports_scipy(tmp_path):

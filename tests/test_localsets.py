@@ -149,19 +149,6 @@ def test_partition_is_stored_as_csr_arrays():
     assert Partition(s for s in p.sets) == Partition(sets=p.sets)
 
 
-def test_partition_with_centers_shares_the_arrays():
-    p = Partition(sets=([3, 1], (0,), np.array([2, 4])))
-    centered = p.with_centers(np.array([1, 0, 4]))
-    assert np.shares_memory(centered.vertices, p.vertices)
-    assert np.shares_memory(centered.indptr, p.indptr)
-    assert centered.centers == (1, 0, 4) and p.centers is None
-    assert centered == Partition(p.sets, [1, 0, 4])
-    assert hash(centered) == hash(Partition(p.sets, [1, 0, 4]))
-    assert centered.sets == p.sets and centered.with_centers([3, 0, 2]) != centered
-    with pytest.raises(ValueError, match="^2 centers for 3 sets$"):
-        p.with_centers([1, 0])
-
-
 def test_partition_member_arrays():
     p = Partition(sets=((3, 1), (0,), (2, 4)))
     verts, ids = p.member_arrays()
