@@ -4,9 +4,10 @@ A run fixes a graph and a partition, then for every trial draws a random
 bandlimited signal and a noise vector, measures with each weight scheme, and
 reconstructs; it logs the relative error per iteration against the noise-free
 truth.  Everything is derived from one integer seed through named
-SeedSequence streams, so adding trials or schemes never disturbs the draws
-of the others.  Rerun CSVs are byte-identical for one numpy, BLAS kernel and
-thread count; across those the rgg configs agree within rtol 1e-9, atol 1e-12.
+SeedSequence streams, so adding trials or adding, removing or reordering
+schemes never disturbs the draws of the others.  Rerun CSVs are
+byte-identical for one numpy, BLAS kernel and thread count; across those
+the rgg configs agree within rtol 1e-9, atol 1e-12.
 """
 
 from __future__ import annotations
@@ -75,16 +76,11 @@ class GraphConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class NoiseConfig:
-    """Per-vertex Gaussian noise: none, one sigma for all, or grouped sigmas.
-
-    Grouped noise shuffles the vertices (seeded) and splits them into
-    contiguous chunks sized by ``fractions`` (equal by default), assigning
-    each chunk one sigma.
-    """
+    """Per-vertex Gaussian noise: none, one sigma for all, or grouped: one
+    sigma per equal contiguous share of the vertices after a seeded shuffle."""
 
     kind: str = "none"  # "none" | "iid" | "grouped"
     sigma: tuple[float, ...] = ()
-    fractions: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -141,18 +137,18 @@ class ExperimentReport:
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# section -> its kind -> (required keys of the section, further allowed ones)
+# section -> its kind -> the keys of the section it takes, all required
 _KINDS = {
     "graph": {
-        "path": (("n",), ()),
-        "grid": (("rows", "cols"), ()),
-        "rgg": (("n", "radius"), ()),
-        "edgelist": (("path",), ()),
+        "path": ("n",),
+        "grid": ("rows", "cols"),
+        "rgg": ("n", "radius"),
+        "edgelist": ("path",),
     },
     "noise": {
-        "none": ((), ()),
-        "iid": (("sigma",), ()),
-        "grouped": (("sigma",), ("fractions",)),
+        "none": (),
+        "iid": ("sigma",),
+        "grouped": ("sigma",),
     },
 }
 
@@ -195,8 +191,6 @@ _KEYS = {
               f"must be one of {', '.join(_KINDS['noise'])}; got {{!r}}"),
     "noise.sigma": (_finites, lambda v: all(s >= 0 for s in v),
                     "entries must be nonnegative"),
-    # range checked in parse_config, after the length match with noise.sigma
-    "noise.fractions": (_finites,),
     "offband_energy": (_finite, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "trials": (int, *_AT_LEAST_1),
     "max_iterations": (int, *_AT_LEAST_1),
@@ -216,13 +210,13 @@ def _parse_value(key: str, text: str):
 
 
 def _check_kind(section: str, kind: str, given: dict) -> None:
-    """Raise unless ``given`` has each key ``kind`` requires and only keys it allows."""
-    need, optional = _KINDS[section][kind]
+    """Raise unless ``given`` has each key ``kind`` takes and no other."""
+    need = _KINDS[section][kind]
     for name in need:
         if name not in given:
             raise ConfigError(f"{section} = {kind} requires {section}.{name}")
     for name in given:
-        if name not in ("kind", *need, *optional):
+        if name not in ("kind", *need):
             raise ConfigError(f"{section}.{name} does not apply to {section} = {kind}")
 
 
@@ -277,11 +271,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("noise = iid takes exactly one sigma")
     if noise.kind == "grouped" and not noise.sigma:
         raise ConfigError("noise = grouped needs at least one sigma")
-    if noise.fractions is not None:
-        if len(noise.fractions) != len(noise.sigma):
-            raise ConfigError("noise.fractions must match noise.sigma in length")
-        if min(noise.fractions) < 0 or abs(sum(noise.fractions) - 1.0) > 1e-6:
-            raise ConfigError("noise.fractions must be >= 0 and sum to 1")
 
     needs_noise = set(_NEEDS_NOISE) & set(schemes)
     if needs_noise and (noise.kind == "none" or min(noise.sigma) <= 0):
@@ -427,11 +416,9 @@ def _build_noise_model(cfg: ExperimentConfig, n_vertices: int) -> NoiseModel:
         return NoiseModel(sigma=np.zeros(n_vertices))
     if nc.kind == "iid":
         return NoiseModel.iid(n_vertices, nc.sigma[0])
-    fractions = nc.fractions or tuple(
-        1.0 / len(nc.sigma) for _ in nc.sigma
-    )
     perm = _rng(cfg.seed, _STREAM_GROUPS).permutation(n_vertices)
-    cuts = [round(n_vertices * c) for c in np.cumsum(fractions[:-1])]
+    m = len(nc.sigma)  # cut at the rounded cumulative shares: 56 in 3 is 19/18/19
+    cuts = [round(n_vertices * c) for c in np.cumsum([1.0 / m] * (m - 1))]
     sigma = np.empty(n_vertices)
     for sig, chunk in zip(nc.sigma, np.split(perm, cuts)):
         sigma[chunk] = sig
@@ -509,10 +496,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     op = BandOperator(basis, omega, partition)
     gains, readouts = [], []
-    for j, scheme in enumerate(cfg.schemes):
-        if scheme in _PER_TRIAL:  # one M per column
-            weights = draw_weights(scheme, partition, _trial_rngs(
-                cfg.seed, _STREAM_WEIGHTS, range(cfg.trials), j))
+    for scheme in cfg.schemes:
+        if scheme in _PER_TRIAL:  # one M per column, keyed by the scheme itself
+            weights = draw_weights(scheme, partition, _trial_rngs(cfg.seed,
+                _STREAM_WEIGHTS, range(cfg.trials), WEIGHT_SCHEMES.index(scheme)))
         else:
             weights = make_weights(scheme, partition, noise=model)
         gains.append(op.gain(weights))

@@ -119,6 +119,20 @@ def test_failed_run_makes_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_run_with_noise_fractions_exit_2(tmp_path, capsys):
+    # grouped noise splits the vertices in equal shares; no key sets them
+    cfg = tmp_path / "fractions.cfg"
+    cfg.write_text(CONFIG.replace("noise = none", "noise = grouped\n"
+                                  "noise.sigma = 1e-3 2e-3\nnoise.fractions = 0.5 0.5"),
+                   encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 11: unknown key 'noise.fractions'\n"
+    assert not out_dir.exists()
+
+
 def test_run_with_fewer_sets_than_band_dimensions_exit_2(tmp_path, capsys):
     # sets of up to 16 vertices cut the 8 x 8 grid into 4 sets; 4 readings
     # cannot determine 9 band coefficients

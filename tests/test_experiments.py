@@ -95,12 +95,6 @@ def test_parse_config_defaults():
          "noise = iid\n", "requires noise.sigma"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\nnoise.sigma = 0.1 0.2\n", "exactly one sigma"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = 0.5\n",
-         "match noise.sigma"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = 0.6 0.6\n",
-         "sum to 1"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = optimal\n",
          "require noise"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = ,\n",
@@ -108,14 +102,8 @@ def test_parse_config_defaults():
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = grouped\nnoise.sigma = ,\n", "needs at least one sigma"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = iid\nnoise.sigma = 0.1\nnoise.fractions = 1\n",
-         "noise.fractions does not apply to noise = iid"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\nnoise.sigma = 1e-3x\n",
          r"bad value for noise\.sigma: '1e-3x'"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = 0.5 half\n",
-         r"bad value for noise\.fractions: '0\.5 half'"),
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = iid\nnoise.sigma = -0.1\n", "noise.sigma entries must be nonnegative"),
         ("graph = path\ngraph.n = 8\nomega =\nschemes = uniform\n",
@@ -136,9 +124,6 @@ def test_parse_config_defaults():
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
          "noise = grouped\nnoise.sigma = 1e-4 -inf\n",
          r"bad value for noise\.sigma: '1e-4 -inf'"),
-        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
-         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = nan 0.5\n",
-         r"bad value for noise\.fractions: 'nan 0\.5'"),
         # ranges that used to fail only inside the generators or the seeding
         ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\nseed = -1\n",
          "seed must be nonnegative"),
@@ -172,6 +157,10 @@ def test_parse_config_defaults():
          r"line 6: unknown key 'graph\.index_base'"),
         ("graph = rgg\ngraph.n = 50\ngraph.radius = 0.3\nomega = 0.1\n"
          "schemes = uniform\ngraph.dedup = no\n", r"line 6: unknown key 'graph\.dedup'"),
+        # grouped noise splits the vertices in equal shares, set by no key
+        ("graph = path\ngraph.n = 8\nomega = 0.1\nschemes = uniform\n"
+         "noise = grouped\nnoise.sigma = 1e-4 2e-4\nnoise.fractions = 0.5 0.5\n",
+         r"line 7: unknown key 'noise\.fractions'"),
     ],
 )
 def test_parse_config_errors(text, match):
@@ -180,20 +169,20 @@ def test_parse_config_errors(text, match):
 
 
 # every kind of the graph and noise sections: the keys of its section that
-# it requires, then the further ones that it allows
+# it takes, all of them required
 SECTION_KINDS = {
-    ("graph", "path"): (("n",), ()),
-    ("graph", "grid"): (("rows", "cols"), ()),
-    ("graph", "rgg"): (("n", "radius"), ()),
-    ("graph", "edgelist"): (("path",), ()),
-    ("noise", "none"): ((), ()),
-    ("noise", "iid"): (("sigma",), ()),
-    ("noise", "grouped"): (("sigma",), ("fractions",)),
+    ("graph", "path"): ("n",),
+    ("graph", "grid"): ("rows", "cols"),
+    ("graph", "rgg"): ("n", "radius"),
+    ("graph", "edgelist"): ("path",),
+    ("noise", "none"): (),
+    ("noise", "iid"): ("sigma",),
+    ("noise", "grouped"): ("sigma",),
 }
 # a value that parses for every key of the two sections
 SECTION_VALUES = {
     "graph.n": "8", "graph.rows": "3", "graph.cols": "3", "graph.radius": "0.3",
-    "graph.path": "g.edges", "noise.sigma": "0.1", "noise.fractions": "1",
+    "graph.path": "g.edges", "noise.sigma": "0.1",
 }
 
 
@@ -212,15 +201,15 @@ def test_parse_config_section_keys_follow_their_kind(section, kind):
     kinds = [k for s, k in SECTION_KINDS if s == section]
     with pytest.raises(ConfigError, match=f"must be one of {', '.join(kinds)};"):
         glm.parse_config(_section_config(section, "bogus", ()))
-    need, optional = SECTION_KINDS[section, kind]
-    cfg = glm.parse_config(_section_config(section, kind, need + optional))
+    need = SECTION_KINDS[section, kind]
+    cfg = glm.parse_config(_section_config(section, kind, need))
     assert getattr(cfg, section).kind == kind
     others = [key.partition(".")[2] for key in SECTION_VALUES
               if key.startswith(f"{section}.")
-              and key.partition(".")[2] not in need + optional]
+              and key.partition(".")[2] not in need]
     for name in need:
         # a missing key is reported before a foreign one
-        rest = [n for n in need + optional if n != name] + others[:1]
+        rest = [n for n in need if n != name] + others[:1]
         message = rf"^{section} = {kind} requires {section}\.{name}$"
         with pytest.raises(ConfigError, match=message):
             glm.parse_config(_section_config(section, kind, rest))
@@ -387,6 +376,26 @@ def test_band_dim_resolution(rgg300, grid20):
     assert grid.band_dim(_resolve_omega(glm.parse_config(tied.format(3)), grid)) == 3
 
 
+@pytest.mark.parametrize("scheme, lists", [
+    ("random", ["random", "uniform random", "random uniform", "dirac uniform random"]),
+    ("dirac", ["dirac", "uniform dirac", "dirac random uniform", "random dirac"]),
+])
+def test_per_trial_scheme_curves_ignore_the_other_schemes(scheme, lists):
+    # a per-trial scheme's weight stream is keyed by the scheme, so adding,
+    # removing or reordering the others leaves its curves bit-identical
+    base = ("graph = grid\ngraph.rows = 8\ngraph.cols = 8\nomega = 0.3\nn_max = 3\n"
+            "noise = iid\nnoise.sigma = 1e-3\ntrials = 5\nmax_iterations = 10\n"
+            "seed = 4\nschemes = {}\n")
+    reports = [glm.run_experiment(glm.parse_config(base.format(s))) for s in lists]
+    first = reports[0]
+    for report in reports[1:]:
+        for curves in ("mean_rel_error", "std_rel_error", "steady_errors"):
+            assert np.array_equal(getattr(report, curves)[scheme],
+                                  getattr(first, curves)[scheme]), curves
+        assert report.contraction[scheme] == first.contraction[scheme]
+        assert report.spectral_radius[scheme] == first.spectral_radius[scheme]
+
+
 def test_nmax_defaults_to_suggestion():
     cfg = glm.parse_config(
         "graph = grid\ngraph.rows = 8\ngraph.cols = 8\nomega = 0.04\n"
@@ -399,7 +408,7 @@ def test_nmax_defaults_to_suggestion():
 def test_grouped_noise_assignment_counts():
     cfg = glm.parse_config(
         "graph = path\ngraph.n = 10\nomega = 0.1\nschemes = uniform\n"
-        "noise = grouped\nnoise.sigma = 1.0 2.0\nnoise.fractions = 0.5 0.5\n"
+        "noise = grouped\nnoise.sigma = 1.0 2.0\n"
         "trials = 1\nmax_iterations = 3\nseed = 4\n"
     )
     model = _build_noise_model(cfg, 10)
@@ -408,14 +417,17 @@ def test_grouped_noise_assignment_counts():
 
 
 def test_grouped_noise_default_equal_fractions():
-    cfg = glm.parse_config(
-        "graph = path\ngraph.n = 9\nomega = 0.1\nschemes = uniform\n"
-        "noise = grouped\nnoise.sigma = 1.0 2.0 3.0\n"
-        "trials = 1\nmax_iterations = 3\nseed = 4\n"
-    )
-    model = _build_noise_model(cfg, 9)
-    counts = {v: int((model.sigma == v).sum()) for v in (1.0, 2.0, 3.0)}
-    assert counts == {1.0: 3, 2.0: 3, 3.0: 3}
+    # the cuts fall at the rounded cumulative shares: 56 vertices in 3 groups
+    # are cut at round(56/3) = 19 and round(112/3) = 37, so the middle group
+    # is the short one (np.array_split would give 19/19/18)
+    for n, counts in ((9, [3, 3, 3]), (56, [19, 18, 19])):
+        cfg = glm.parse_config(
+            f"graph = path\ngraph.n = {n}\nomega = 0.1\nschemes = uniform\n"
+            "noise = grouped\nnoise.sigma = 1.0 2.0 3.0\n"
+            "trials = 1\nmax_iterations = 3\nseed = 4\n"
+        )
+        model = _build_noise_model(cfg, n)
+        assert [int((model.sigma == v).sum()) for v in (1.0, 2.0, 3.0)] == counts
 
 
 def test_iid_noise_dirac_trails_averaging_weights(rgg300_sets3):
