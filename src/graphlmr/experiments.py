@@ -428,9 +428,10 @@ def _build_noise_model(cfg: ExperimentConfig, n_vertices: int) -> NoiseModel:
 def _resolve_omega(cfg: ExperimentConfig, basis: SpectralBasis) -> float:
     if cfg.omega is not None:
         return cfg.omega
-    k = cfg.band_dim
-    vals = basis.eigenvalues
-    if k >= vals.size:
+    k, vals = cfg.band_dim, basis.eigenvalues
+    if k > vals.size:
+        raise ConfigError(f"band_dim = {k} exceeds the {vals.size} graph vertices")
+    if k == vals.size:
         return float(vals[-1])
     # midpoint between the last in-band and first out-of-band eigenvalue,
     # so the inclusive cutoff cannot sit on either unless they are tied

@@ -11,9 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ _MAX_VERTICES = 2**31 - 1
 
 
 class EdgeListError(ValueError):
-    """Malformed or out-of-range edge-list input."""
+    """Malformed or out-of-range edge-list or partition text."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -171,27 +170,29 @@ def _edge_keys(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndar
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
     lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
-    out = lo < 0
-    loop = ~out & (lo == hi)
-    valid = np.flatnonzero(~out & ~loop)
-    key = lo[valid] * n + hi[valid]
-    sorted_key = np.sort(key)
-    repeat = np.zeros(key.size, dtype=bool)
-    repeat[1:] = sorted_key[1:] == sorted_key[:-1]
-    flagged = out | loop
-    if repeat.any():
-        # sorted stably, an edge equal to its predecessor repeats an earlier one
-        order = np.argsort(key, kind="stable")
-        flagged[valid[order[repeat]]] = True
-    if flagged.any():
-        i = int(np.argmax(flagged))
+    key = np.sort(lo * n + hi)
+    if lo.size and (lo.min() < 0 or (lo == hi).any() or (key[1:] == key[:-1]).any()):
+        i = _bad_edge(n, pairs)
         u, v = (int(x) for x in edges[i])
-        if out[i]:
+        if lo[i] < 0:
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        if loop[i]:
+        if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-    return sorted_key
+    return key
+
+
+def _bad_edge(n: int, pairs: np.ndarray) -> int:
+    """Row of the first edge in ``pairs`` (an ``(m, 2)`` int64 array in which
+    ids outside ``0 .. n - 1`` read -1) that is out of range, a self-loop or
+    a repeat of an earlier edge; 0 if there is none."""
+    lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    key = lo * n + hi
+    # sorted stably, an edge equal to its predecessor repeats an earlier one
+    order = np.argsort(key, kind="stable")
+    flagged = (lo < 0) | (lo == hi)
+    flagged[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    return int(np.argmax(flagged))
 
 
 def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
@@ -210,127 +211,103 @@ def _vertex_ids(values: Sequence | np.ndarray, n: int) -> np.ndarray:
     return np.where((ids >= 0) & (ids < n), ids, -1).astype(np.int64, copy=False)
 
 
-def _records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` of every line of a text file format that is
-    neither blank nor a comment, a line whose first field starts with ``#``."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if fields and not fields[0].startswith("#"):
-            yield line_no, fields
+def _int_lines(text: str | bytes, pairs: bool = False
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a text file format of integer lines, with the line grammar of
+    :func:`parse_edge_list`, in one pass over its bytes; with ``pairs``
+    every data line is two nonnegative integers.
 
-
-def _int64_pairs(text: str | bytes) -> np.ndarray | None:
-    """The data lines of :func:`_records` as the rows of an ``(m, 2)`` int64
-    array, from one pass over the bytes of ``text`` (a str, or the bytes of
-    an ASCII text); ``None`` unless every line break is ``\n`` or ``\r\n``,
-    the only other whitespace is space and tab, and every data line is two
-    tokens ``-?[0-9]{1,18}``."""
-    raw = text
-    if isinstance(text, str):
-        # str.splitlines also breaks at \v \f \x1c-\x1e, which are control
-        # bytes as checked below, and at these three
-        if not text.isascii() and any(c in text for c in "\x85\u2028\u2029"):
-            return None
-        raw = text.encode("utf-8", "surrogatepass")
+    Returns ``(values, count, record)``: the fields of the data lines in
+    file order as int64, and each line's field count and whether it is a
+    data line.  Raises :class:`EdgeListError` naming the first bad line.
+    """
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if isinstance(text, bytes) and not text.isascii():
+        text.decode("utf-8")  # bytes that are not UTF-8 raise, even in a comment
     b = np.frombuffer(raw, dtype=np.uint8)
     ctrl = np.flatnonzero(b < 32)
     kind = b[ctrl]
-    if not ((kind == 10) | (kind == 9) | (kind == 13)).all() or (
-        b[np.minimum(ctrl[kind == 13] + 1, len(b) - 1)] != 10
-    ).any():
-        return None
+    end = kind == 10  # a \r ends its line unless a \n follows
+    cr = np.flatnonzero(kind == 13)
+    end[cr] = b[np.minimum(ctrl[cr] + 1, len(b) - 1)] != 10
+    breaks = ctrl[end]
     # token j is b[starts[j]:ends[j]]; line i holds tokens bounds[i]:bounds[i + 1]
     pad = np.concatenate(([False], b > 32, [False]))
     edge = np.flatnonzero(pad[1:] != pad[:-1])
     starts, ends = edge[::2], edge[1::2]
     m = len(starts)
-    if not m:  # fromstring reads blank text as one 0
-        return np.empty((0, 2), dtype=np.int64)
-    bounds = np.concatenate(([0], np.searchsorted(starts, ctrl[kind == 10]), [m]))
+    bounds = np.concatenate(([0], np.searchsorted(starts, breaks), [m]))
     count = np.diff(bounds)
     head = b[starts]
-    comment = (count > 0) & (head[np.minimum(bounds[:-1], m - 1)] == 35)  # "#"
-    data = np.repeat(~comment, count)
+    # a data line has fields, and its first does not start with "#"
+    first = head[np.minimum(bounds[:-1], m - 1)] if m else 0
+    record = (count > 0) & (first != 35)
+    data = np.repeat(record, count)
     # a byte neither whitespace nor digit is a comment's or a leading "-"
     odd = np.flatnonzero(pad[1:-1] & ((b - np.uint8(48)) > 9))
     tok = np.searchsorted(starts, odd, side="right") - 1
     sign = (odd == starts[tok]) & (b[odd] == 45) & (ends[tok] - odd > 1)
-    if not (
-        ((count == 2) | (count == 0) | comment).all()
-        and (sign | ~data[tok]).all()
-        and (ends - starts - (head == 45) <= 18)[data].all()
-    ):
-        return None
-    if comment.any():
-        # cut each comment line from its first token to the next line's, so
-        # that text of comments alone becomes empty, not blank
-        at = np.flatnonzero(comment)
-        cut = np.append(starts, len(b))
-        lo = [starts[0], *cut[bounds[at + 1]].tolist()]
-        hi = [*cut[bounds[at]].tolist(), len(b)]
-        raw = b"".join(raw[a:z] for a, z in zip(lo, hi))
-    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2)
-
-
-def _leading_int_rows(rows: list[list[str]]) -> np.ndarray:
-    """The rows before the first one that is not two integers, as an
-    ``(r, 2)`` object array of Python ints (which may exceed int64)."""
-    values = []
-    for f in rows:
-        try:
-            a, b = (int(x) for x in f)
-        except ValueError:
-            break
-        values.append((a, b))
-    return np.array(values, dtype=object).reshape(-1, 2)
+    stray = ~((kind == 9) | (kind == 10) | (kind == 13))
+    wrong = record & (count != 2) & pairs
+    long = (ends - starts - (head == 45) > 18) & data
+    if stray.any() or wrong.any() or not (sign | ~data[tok]).all() or long.any():
+        # the first bad line: the lines before it must read, and are read
+        # first, so that an earlier negative index is reported first
+        long[tok[~sign]] = True
+        at = [np.searchsorted(breaks, ctrl[stray]), np.flatnonzero(wrong),
+              np.searchsorted(bounds, np.flatnonzero(long & data), "right") - 1]
+        line = min(int(a.min()) for a in at if a.size)
+        _int_lines(raw[:breaks[line - 1] + 1 if line else 0], pairs)
+        if line in at[0]:
+            c = b[ctrl[stray][at[0] == line][0]]
+            raise EdgeListError(f"control character {chr(c)!r}", line + 1)
+        if line in at[1]:
+            raise EdgeListError(
+                f"expected two integers, got {count[line]} fields", line + 1)
+        lo, hi = bounds[line], bounds[line + 1]
+        fields = [raw[s:e].decode("utf-8", "surrogatepass")
+                  for s, e in zip(starts[lo:hi], ends[lo:hi])]
+        raise EdgeListError(f"non-integer field in {fields!r}", line + 1)
+    # cut each comment line from its first token to the next line's, so that
+    # text of comments alone becomes empty, not blank (which reads as one 0)
+    at = np.flatnonzero(~record & (count > 0))
+    cut = np.append(starts, len(b))
+    lo = [cut[0], *cut[bounds[at + 1]].tolist()]
+    hi = [*cut[bounds[at]].tolist(), len(b)]
+    values = np.fromstring(b"".join(raw[a:z] for a, z in zip(lo, hi)),
+                           dtype=np.int64, sep=" ")
+    if pairs and (values < 0).any():
+        row = int(np.argmax(values < 0)) // 2
+        line = int(np.flatnonzero(record)[row]) + 1
+        u, v = values[2 * row:2 * row + 2]
+        raise EdgeListError(f"negative vertex index in ({u}, {v})", line)
+    return values, count, record
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse edge-list text, or its UTF-8 bytes, into a :class:`Graph`.
 
-    Format: one 0-based ``u v`` pair per line, whitespace separated; blank
-    lines and lines starting with ``#`` are ignored.  The vertex count is the
-    largest index plus 1.  There is no count header: a first line ``N M``
-    reads as one more edge.  A self-loop or a duplicate edge is an error.
-    Errors name the line of the first bad data line, as a line-by-line read
-    would.  Line breaks are those of ``str.splitlines``.  ASCII bytes go to
-    the one-pass reader undecoded; other bytes are decoded first, strictly.
+    Format: one 0-based ``u v`` pair per line.  Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and fields are split by space and tab.  Blank
+    lines, and comments (lines whose first field starts with ``#``), are
+    skipped but counted.  Every field of every other line, a data line,
+    matches ``-?[0-9]{1,18}``.  Any other control byte is an error, as is a
+    byte beyond ASCII outside a comment; bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``.  The vertex count is the largest index plus 1.
+    There is no count header: a first line ``N M`` reads as one more edge.
+    A self-loop or a duplicate edge is an error.  Errors name the first bad
+    line in file order; a self-loop or duplicate, found once every line
+    reads, names its own line.
     """
-    if isinstance(text, bytes) and not text.isascii():
-        text = text.decode("utf-8")
-
-    def records() -> Iterator[tuple[int, list[str]]]:
-        return _records(text if isinstance(text, str) else text.decode("ascii"))
-
-    values = _int64_pairs(text)
-    rows = None
-    if values is None:  # find the first malformed line, reading line by line
-        rows = [fields for _, fields in records()]
-        values = _leading_int_rows(rows)
-
-    def line_no(row: int) -> int:
-        return next(islice(records(), row, None))[0]
-
-    negative = np.flatnonzero(np.minimum(*values.T) < 0)
-    if negative.size:
-        row = int(negative[0])
-        a, b = values[row]
-        raise EdgeListError(f"negative vertex index in ({a}, {b})", line_no(row))
-    if rows is not None and len(values) < len(rows):
-        fields = rows[len(values)]
-        if len(fields) != 2:
-            raise EdgeListError(
-                f"expected two integers, got {len(fields)} fields",
-                line_no(len(values)),
-            )
-        raise EdgeListError(
-            f"non-integer field in {fields!r}", line_no(len(values))
-        )
-    n = int(values.max()) + 1 if len(values) else 0
+    values, _, record = _int_lines(text, pairs=True)
+    edges = values.reshape(-1, 2)
+    n = int(values.max()) + 1 if values.size else 0
     try:
-        return Graph.from_edges(n, values)
-    except ValueError as exc:
-        raise EdgeListError(str(exc)) from None
+        return Graph.from_edges(n, edges)
+    except ValueError as exc:  # a vertex count too large names no line
+        line = None if n > _MAX_VERTICES else int(
+            np.flatnonzero(record)[_bad_edge(n, edges)]) + 1
+        raise EdgeListError(str(exc), line) from None
 
 
 def load_edge_list(path: str | Path) -> Graph:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _records
+from .graph import Graph, _int_lines
 
 __all__ = [
     "Partition",
@@ -425,18 +425,15 @@ def format_partition(partition: Partition) -> str:
     return "\n".join([" ".join([str(v) for v in s]) for s in partition.sets]) + "\n"
 
 
-def parse_partition(text: str) -> Partition:
-    """Inverse of :func:`format_partition`: each line that is neither blank
-    nor a ``#`` comment is one set of whitespace-separated integers."""
-
-    def vertex(line_no: int, tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-integer vertex {tok!r}") from None
-
-    return Partition([[vertex(line_no, tok) for tok in fields]
-                      for line_no, fields in _records(text)])
+def parse_partition(text: str | bytes) -> Partition:
+    """Inverse of :func:`format_partition`, from text or its UTF-8 bytes:
+    each data line is one set.  Lines are read, and bad ones reported, as
+    :func:`graphlmr.parse_edge_list` reads them, but a set may hold any
+    number of members, negative ones too."""
+    values, count, record = _int_lines(text)
+    ends = np.cumsum(count[record]).tolist()
+    flat = values.tolist()
+    return Partition([flat[a:z] for a, z in zip([0, *ends], ends)])
 
 
 def write_partition(partition: Partition, path: str | Path) -> None:
@@ -444,4 +441,4 @@ def write_partition(partition: Partition, path: str | Path) -> None:
 
 
 def read_partition(path: str | Path) -> Partition:
-    return parse_partition(Path(path).read_text(encoding="utf-8"))
+    return parse_partition(Path(path).read_bytes())

@@ -110,6 +110,20 @@ def test_run_band_dim_splitting_tied_eigenvalues_exit_2(tmp_path, capsys):
     assert not (tmp_path / "cli-check.csv").exists()
 
 
+def test_run_band_dim_above_vertex_count_exit_2(tmp_path, capsys):
+    # a 3 x 3 grid has 9 eigenvalues, so no band holds 50 of them
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 50")
+                   .replace("rows = 8", "rows = 3").replace("cols = 8", "cols = 3")
+                   .replace("n_max = 2", "n_max = 1"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: band_dim = 50 exceeds the 9 graph vertices\n"
+    assert not out_dir.exists()
+
+
 def test_failed_run_makes_no_out_dir(tmp_path, capsys):
     cfg = tmp_path / "tied.cfg"
     cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 2"), encoding="utf-8")

@@ -360,12 +360,15 @@ def test_band_dim_resolution(rgg300, grid20):
     ev = basis.eigenvalues
     assert omega == pytest.approx(0.5 * (ev[3] + ev[4]))
     assert basis.band_dim(omega) == 4
-    # band_dim >= n falls back to the top of the spectrum
+    # band_dim = n is the top of the spectrum; beyond n there is no band
     small = glm.eigendecompose(glm.build_laplacian(glm.path_graph(3)))
-    cfg2 = glm.parse_config(
-        "graph = path\ngraph.n = 3\nband_dim = 9\nschemes = uniform\n"
-    )
-    assert _resolve_omega(cfg2, small) == pytest.approx(small.eigenvalues[-1])
+    path = "graph = path\ngraph.n = 3\nband_dim = {}\nschemes = uniform\n"
+    assert _resolve_omega(glm.parse_config(path.format(3)), small) == small.eigenvalues[-1]
+    assert small.band_dim(small.eigenvalues[-1]) == 3
+    for k in (4, 9):
+        with pytest.raises(ConfigError,
+                           match=rf"^band_dim = {k} exceeds the 3 graph vertices$"):
+            _resolve_omega(glm.parse_config(path.format(k)), small)
     # lambda_2 = lambda_3 on a square grid: a cutoff between them keeps both
     _, grid = grid20
     tied = ("graph = grid\ngraph.rows = 20\ngraph.cols = 20\nband_dim = {}\n"

@@ -88,8 +88,12 @@ def test_parse_edge_list_malformed():
         glm.parse_edge_list("0 1 2\n")
     with pytest.raises(EdgeListError, match="non-integer"):
         glm.parse_edge_list("a b\n")
-    with pytest.raises(EdgeListError, match="duplicate"):
-        glm.parse_edge_list("0 1\n1 0\n")
+    with pytest.raises(EdgeListError, match=r"^line 3: duplicate edge \(0, 1\)$") as exc:
+        glm.parse_edge_list("0 1\n1 2\n1 0\n")
+    assert exc.value.line_no == 3
+    with pytest.raises(EdgeListError, match=r"^line 4: self-loop at vertex 2$") as exc:
+        glm.parse_edge_list("0 1\n# c\r\n1 2\r2 2\n")
+    assert exc.value.line_no == 4
 
 
 def test_parse_edge_list_empty_text():
@@ -105,8 +109,59 @@ def test_file_formats_share_the_line_rule():
     assert partition == glm.Partition(sets=((0, 1),))
     with pytest.raises(EdgeListError, match="line 6: expected two integers"):
         glm.parse_edge_list(skipped + "0 1 # note\n")
-    with pytest.raises(ValueError, match="line 6: non-integer vertex '#'"):
+    with pytest.raises(EdgeListError, match=r"^line 6: non-integer field in "
+                       r"\['0', '1', '#', 'note'\]$"):
         glm.localsets.parse_partition(skipped + "0 1 # note\n")
+
+
+@pytest.mark.parametrize("bad", ["0 x", "0 1.5", "+3 1", "0 \u0663",
+                                 "0 " + "1" * 19, "0\x0b1", "# \x0c", "\x1f"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_both_formats_name_the_same_bad_line(bad, ending):
+    lines = ["# header", "0 1", "", "  # 3 4", "1 2", bad, "2 3"]
+    text = ending.join(lines) + ending
+    with pytest.raises(EdgeListError) as edge_list:
+        glm.parse_edge_list(text)
+    with pytest.raises(EdgeListError) as partition:
+        glm.localsets.parse_partition(text.encode("utf-8"))
+    assert edge_list.value.line_no == partition.value.line_no == 6
+    assert str(edge_list.value) == str(partition.value)
+
+
+@st.composite
+def _written_edges(draw):
+    # a graph, its edges in any order and orientation, and an optional header
+    g = draw(graphs(max_n=12))
+    edges = draw(st.permutations(g.edges))
+    flip = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    lines = [f"{v} {u}" if f else f"{u} {v}" for (u, v), f in zip(edges, flip)]
+    return g, draw(st.sampled_from([[], ["# a header"]])) + lines
+
+
+_ending = st.sampled_from(["\n", "\r\n", "\r"])
+_id = st.integers(min_value=-(10**18) + 1, max_value=10**18 - 1)
+
+
+@given(case=_written_edges(), ending=_ending)
+@settings(max_examples=100, deadline=None)
+def test_written_edges_read_back(case, ending):
+    g, lines = case
+    text = ending.join(lines) + ending
+    # vertices past the largest endpoint are isolated, so not in the file
+    n = max((v for e in g.edges for v in e), default=-1) + 1
+    expected = Graph.from_edges(n, g.edges)
+    assert glm.parse_edge_list(text) == expected
+    assert glm.parse_edge_list(text.encode("ascii")) == expected
+
+
+@given(sets=st.lists(st.lists(_id, min_size=1, max_size=6), max_size=8),
+       ending=_ending)
+@settings(max_examples=100, deadline=None)
+def test_formatted_partitions_read_back(sets, ending):
+    p = glm.Partition(sets=sets)
+    text = glm.localsets.format_partition(p).replace("\n", ending)
+    assert glm.localsets.parse_partition(text) == p
+    assert glm.localsets.parse_partition(text.encode("ascii")) == p
 
 
 def test_load_edge_list_roundtrip(tmp_path):
