@@ -468,6 +468,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     del laplacian
     finish("eigendecompose")
     omega = _resolve_omega(cfg, basis)
+    if cfg.n_max is None and omega == 0:  # suggest_nmax needs a positive cutoff
+        raise ConfigError(f"band_dim = {cfg.band_dim} puts the cutoff at 0 "
+                          "(the graph has no edges); set n_max")
     n_max = cfg.n_max if cfg.n_max is not None else suggest_nmax(omega)
     partition = greedy_partition(graph, n_max)
     band_dim = basis.band_dim(omega)

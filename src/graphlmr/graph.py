@@ -304,10 +304,9 @@ def parse_edge_list(text: str | bytes) -> Graph:
     n = int(values.max()) + 1 if values.size else 0
     try:
         return Graph.from_edges(n, edges)
-    except ValueError as exc:  # a vertex count too large names no line
-        line = None if n > _MAX_VERTICES else int(
-            np.flatnonzero(record)[_bad_edge(n, edges)]) + 1
-        raise EdgeListError(str(exc), line) from None
+    except ValueError as exc:  # too many vertices: the largest index's line
+        row = np.argmax(values) // 2 if n > _MAX_VERTICES else _bad_edge(n, edges)
+        raise EdgeListError(str(exc), int(np.flatnonzero(record)[row]) + 1) from None
 
 
 def load_edge_list(path: str | Path) -> Graph:

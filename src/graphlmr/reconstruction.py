@@ -121,25 +121,23 @@ class BandOperator:
         # row j: the column of B^T for member j's set
         self._spread = self.bt.T[partition.member_arrays()[1]]
 
-    def _flat(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
-        if isinstance(weights, LocalWeights):
-            if weights.partition._key()[:2] != self.partition._key()[:2]:  # the sets
-                raise ValueError("weights belong to a different partition")
-            return weights.flat
-        if weights.ndim != 2 or weights.shape[1] != self._rows.shape[0]:
-            raise ValueError(
-                f"per-trial weights must be (T, {self._rows.shape[0]}), "
-                f"got shape {weights.shape}"
-            )
-        return weights
+    def _flat(self, weights: LocalWeights) -> np.ndarray:
+        if weights.partition._key()[:2] != self.partition._key()[:2]:  # the sets
+            raise ValueError("weights belong to a different partition")
+        return weights.flat
 
     def measurement_matrix(self, weights: LocalWeights) -> np.ndarray:
-        """A = Phi U_b: the measurements of each band eigenvector, (|I|, k)."""
-        return self.partition.sum_by_set(self._flat(weights)[:, None] * self._rows)
+        """A = Phi U_b: the measurements of each band eigenvector, (|I|, k),
+        for one weight vector per set; a (T, |V|) block raises."""
+        w = self._flat(weights)
+        if w.ndim != 1:
+            raise ValueError(f"measurement_matrix takes one weight vector per "
+                             f"set, not a block of shape {w.shape}")
+        return self.partition.sum_by_set(w[:, None] * self._rows)
 
-    def gain(self, weights: LocalWeights | np.ndarray) -> np.ndarray:
-        """M = B^T A, (k, k) for ``LocalWeights``, or (T, k, k) for a (T, |V|)
-        block of per-trial weights in member order (:func:`draw_weights`).
+    def gain(self, weights: LocalWeights) -> np.ndarray:
+        """M = B^T A, (k, k), or (T, k, k) for a (T, |V|) block of per-trial
+        weights (:func:`draw_weights`).
 
         M[a, b] sums spread[j, a] w[j] rows[j, b] over the members j.  A block
         is built one row a at a time, so no (T, |V|, k) array is formed.
@@ -153,11 +151,9 @@ class BandOperator:
             gain[:, a] = w @ (spread[:, None] * self._rows)
         return gain
 
-    def readout(
-        self, weights: LocalWeights | np.ndarray, signals: np.ndarray
-    ) -> np.ndarray:
+    def readout(self, weights: LocalWeights, signals: np.ndarray) -> np.ndarray:
         """r = B^T m for the measurements m of the columns of ``signals`` (n, T),
-        (k, T); per-trial weights (T, |V|) measure column t with row t."""
+        (k, T); a (T, |V|) block of weights measures column t with row t."""
         w = self._flat(weights)
         measured = self.partition.gather(signals, "signal").T
         measured *= w

@@ -54,8 +54,10 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class LocalWeights:
-    """Convex weights for every set, ``flat`` in partition member order;
-    ``values[i][j]``, a view of it, weights the ``j``-th member of set ``i``.
+    """Convex weights for every set, ``flat`` in partition member order: one
+    vector (|V|,), or a block (T, |V|) whose row t weights trial t (see
+    :func:`draw_weights`).  ``values[i][..., j]``, a view of it, weights the
+    ``j``-th member of set ``i``.
 
     The constructor copies ``flat``, renormalizes every set to sum 1 and
     rejects negative entries or all-zero sets; sets already summing to 1
@@ -68,7 +70,7 @@ class LocalWeights:
     def __post_init__(self):
         flat = np.asarray(self.flat, dtype=np.float64)
         verts = self.partition.vertices
-        if flat.shape != verts.shape:
+        if flat.ndim not in (1, 2) or flat.shape[-1:] != verts.shape:
             raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
         flat = _normalize(self.partition, flat.copy())
         flat.flags.writeable = False
@@ -78,7 +80,7 @@ class LocalWeights:
     def values(self) -> tuple[np.ndarray, ...]:
         """One read-only view of the flat array per set."""
         starts, sizes = self.partition.set_starts(), self.partition.sizes()
-        return tuple(self.flat[a:a + m] for a, m in zip(starts, sizes))
+        return tuple(self.flat[..., a:a + m] for a, m in zip(starts, sizes))
 
 
 def _normalize(partition: Partition, flat: np.ndarray) -> np.ndarray:
@@ -100,22 +102,6 @@ def _normalize(partition: Partition, flat: np.ndarray) -> np.ndarray:
     if (scale != 1.0).any():
         flat /= scale[..., ids]
     return flat
-
-
-def _draw(
-    scheme: str, partition: Partition, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Raw ``random`` or ``dirac`` weights, (T, |V|): row t takes one
-    ``random(|V|)`` or ``integers(sizes)`` call on ``rngs[t]``."""
-    sizes, starts = partition.sizes(), partition.set_starts()
-    w = np.zeros((len(rngs), partition.vertices.size))
-    if scheme == "random":
-        for t, rng in enumerate(rngs):
-            w[t] = rng.random(w.shape[1])
-    elif rngs:
-        picks = np.array([rng.integers(sizes) for rng in rngs])
-        w[np.arange(len(rngs))[:, None], starts + picks] = 1.0
-    return w
 
 
 def make_weights(
@@ -145,7 +131,7 @@ def make_weights(
     if scheme in _PER_TRIAL:
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")
-        return LocalWeights(partition, _draw(scheme, partition, [rng])[0])
+        return LocalWeights(partition, draw_weights(scheme, partition, [rng]).flat[0])
     if scheme in _NEEDS_NOISE:
         if noise is None:
             raise ValueError(f"scheme {scheme!r} requires a noise model")
@@ -167,28 +153,41 @@ def make_weights(
 
 def draw_weights(
     scheme: str, partition: Partition, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """``random`` or ``dirac`` weights for many trials, (T, |V|) in member order.
+) -> LocalWeights:
+    """``random`` or ``dirac`` weights for many trials: a (T, |V|) block.
 
-    Row t equals ``make_weights(scheme, partition, rng=rngs[t]).flat``
-    bit for bit and leaves ``rngs[t]`` in the same state; only the draws run
-    per trial, the normalization is one pass over the block.  A ``random``
-    set whose draws sum to zero raises rather than being redrawn.
+    Row t takes one ``rngs[t].random(|V|)`` or ``rngs[t].integers(sizes)``
+    call and is what :func:`make_weights` draws from ``rngs[t]``; only the
+    draws run per trial, the normalization is one pass over the block.  A
+    ``random`` set whose draws sum to zero raises rather than being redrawn.
     """
     if scheme not in _PER_TRIAL:
         raise ValueError(f"draw_weights takes 'random' or 'dirac', not {scheme!r}")
-    return _normalize(partition, _draw(scheme, partition, rngs))
+    w = np.zeros((len(rngs), partition.vertices.size))
+    if scheme == "random":
+        for t, rng in enumerate(rngs):
+            w[t] = rng.random(w.shape[1])
+    elif rngs:
+        sizes = partition.sizes()
+        picks = np.array([rng.integers(sizes) for rng in rngs])
+        w[np.arange(len(rngs))[:, None], partition.set_starts() + picks] = 1.0
+    return LocalWeights(partition, w)
 
 
 def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     """Weighted average of the signal over each set: m_i = <signal, phi_i>.
 
     ``signal`` is one vertex signal (n,) or a block of them (n, T), which
-    gives (n_sets, T).  With dirac weights this reduces to plain decimation,
-    exactly (each sum has a single term).
+    gives (n_sets, T); a block of weights (T, |V|) measures column t of an
+    (n, T) signal with row t.  With dirac weights this reduces to plain
+    decimation, exactly (each sum has a single term).
     """
     f = np.asarray(signal, dtype=np.float64)
-    w = weights.flat.reshape((-1,) + (1,) * (f.ndim - 1))
+    w = weights.flat.T
+    if w.ndim == 2 and f.shape[1:] != w.shape[1:]:
+        raise ValueError(f"weights for {w.shape[1]} trials measure an "
+                         f"(n, {w.shape[1]}) signal, got shape {f.shape}")
+    w = w.reshape(w.shape + (1,) * (f.ndim - w.ndim))
     return weights.partition.sum_by_set(weights.partition.gather(f, "signal") * w)
 
 
@@ -196,11 +195,12 @@ def equivalent_noise_sigma(weights: LocalWeights, noise: NoiseModel) -> np.ndarr
     """Standard deviation sigma_i of the measurement noise <noise, phi_i> per set.
 
     The measurement noise n_i = <n, phi_i> is zero-mean Gaussian with
-    variance sigma_i^2 = sum_v sigma^2(v) phi_i^2(v).
+    variance sigma_i^2 = sum_v sigma^2(v) phi_i^2(v).  A block of weights
+    (T, |V|) gives (T, n_sets), row t from weights row t.
     """
     partition = weights.partition
     # hypot never squares, so sigma beyond 1e+-154 neither under- nor overflows
     return np.hypot.reduceat(
         partition.gather(noise.sigma, "noise model") * weights.flat,
-        partition.set_starts(),
+        partition.set_starts(), axis=-1,
     )

@@ -98,10 +98,9 @@ def test_iterate_matches_measurement_space_sweep(per_trial, stop_tolerance):
     observed = truth + 1e-3 * np.random.default_rng(32).standard_normal(truth.shape)
     if per_trial:
         weights = glm.draw_weights("random", partition, rngs)
-        per_column = [glm.LocalWeights(partition, w) for w in weights]
-        a = np.stack([op.measurement_matrix(w) for w in per_column])
-        m = np.stack([glm.measure(observed[:, t], w)
-                      for t, w in enumerate(per_column)], axis=1)
+        a = np.stack([op.measurement_matrix(glm.LocalWeights(partition, w))
+                      for w in weights.flat])
+        m = glm.measure(observed, weights)
     else:
         weights = glm.make_weights("uniform", partition)
         a, m = op.measurement_matrix(weights), glm.measure(observed, weights)

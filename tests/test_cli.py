@@ -124,6 +124,23 @@ def test_run_band_dim_above_vertex_count_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_band_cutoff_at_zero_without_n_max_exit_2(tmp_path, capsys):
+    # one vertex, no edge: its one eigenvalue is 0, which suggests no set size
+    text = "name = lone\ngraph = path\ngraph.n = 1\nband_dim = 1\nschemes = uniform\n"
+    cfg = tmp_path / "lone.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: band_dim = 1 puts the cutoff at 0 (the graph has no "
+                   "edges); set n_max\n")
+    assert not out_dir.exists()
+    # with a set size the same run needs no suggestion
+    cfg.write_text(text + "n_max = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+
+
 def test_failed_run_makes_no_out_dir(tmp_path, capsys):
     cfg = tmp_path / "tied.cfg"
     cfg.write_text(CONFIG.replace("omega = 0.1", "band_dim = 2"), encoding="utf-8")

@@ -94,6 +94,14 @@ def test_parse_edge_list_malformed():
     with pytest.raises(EdgeListError, match=r"^line 4: self-loop at vertex 2$") as exc:
         glm.parse_edge_list("0 1\n# c\r\n1 2\r2 2\n")
     assert exc.value.line_no == 4
+    # too many vertices: the first line holding the largest index
+    with pytest.raises(EdgeListError, match=r"^line 2: 1000000000000000000 vertices "
+                       r"exceed the supported 2147483647$") as exc:
+        glm.parse_edge_list("0 1\n1 999999999999999999\n")
+    assert exc.value.line_no == 2
+    with pytest.raises(EdgeListError, match=r"^line 3: 2147483648 vertices") as exc:
+        glm.parse_edge_list("# c\n0 1\r\n3 2147483647\n2147483647 1\n")
+    assert exc.value.line_no == 3
 
 
 def test_parse_edge_list_empty_text():

@@ -38,13 +38,39 @@ def test_band_operator_rejects_foreign_weights(p4):
     other = glm.make_weights("uniform", Partition(sets=((0,), (1, 2, 3))))
     with pytest.raises(ValueError, match="different partition"):
         op.measurement_matrix(other)
-    for method in (op.gain, lambda w: op.readout(w, np.zeros((4, 1)))):
-        with pytest.raises(ValueError, match="different partition"):
-            method(other)
-        with pytest.raises(ValueError, match=r"must be \(T, 4\)"):
-            method(np.full((2, 3), 0.5))
+    block = glm.draw_weights("random", other.partition,
+                             [np.random.default_rng(t) for t in range(2)])
+    for method in (op.gain, lambda w: op.readout(w, np.zeros((4, 2)))):
+        for weights in (other, block):
+            with pytest.raises(ValueError, match="different partition"):
+                method(weights)
     with pytest.raises(ValueError, match="vertex range"):
         glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
+
+
+def test_band_operator_rejects_a_block_for_other_sets_of_the_same_vertices():
+    # both partitions of the 4 x 4 grid hold all 16 vertices, so a block
+    # drawn for the 4 sets has the shape of one for the 8 sets, while each
+    # of its rows sums to 0.94, 0.06, 0.56, ... over those 8
+    graph = glm.grid_graph(4, 4)
+    pairs, quads = glm.greedy_partition(graph, 2), glm.greedy_partition(graph, 4)
+    assert (pairs.n_sets, quads.n_sets) == (8, 4)
+    block = glm.draw_weights("random", quads,
+                             [np.random.default_rng(t) for t in range(3)])
+    op = glm.BandOperator(_basis(graph), 1.0, pairs)
+    with pytest.raises(ValueError, match="^weights belong to a different partition$"):
+        op.gain(block)
+    with pytest.raises(ValueError, match="^weights belong to a different partition$"):
+        op.readout(block, np.zeros((16, 3)))
+
+
+def test_measurement_matrix_rejects_a_block(p4):
+    _, basis = p4
+    p = Partition(sets=((0, 1), (2, 3)))
+    op = glm.BandOperator(basis, 0.1, p)
+    block = glm.draw_weights("dirac", p, [np.random.default_rng(t) for t in range(3)])
+    with pytest.raises(ValueError, match=r"not a block of shape \(3, 4\)$"):
+        op.measurement_matrix(block)
 
 
 def test_band_operator_readout_rejects_0d_signal(p4):

@@ -335,11 +335,11 @@ BLOCK_PARTITION = Partition(
 def test_draw_weights_matches_make_weights_bitwise(scheme):
     rngs = [np.random.default_rng([4, t]) for t in range(6)]
     block = glm.draw_weights(scheme, BLOCK_PARTITION, rngs)
-    assert block.shape == (6, 40)
+    assert block.partition is BLOCK_PARTITION and block.flat.shape == (6, 40)
     for t, rng in enumerate(rngs):
         single = np.random.default_rng([4, t])
         want = glm.make_weights(scheme, BLOCK_PARTITION, rng=single).flat
-        assert np.array_equal(block[t], want)
+        assert np.array_equal(block.flat[t], want)
         assert rng.bit_generator.state == single.bit_generator.state
 
 
@@ -363,7 +363,7 @@ def test_draw_weights_raise_on_zero_sum_set():
     # without the zero-sum trial, each row is still make_weights' draw
     kept = [scripts[0], scripts[2]]
     block = glm.draw_weights("random", partition, [Scripted(*d) for d in kept])
-    for row, draws in zip(block, kept):
+    for row, draws in zip(block.flat, kept):
         want = glm.make_weights("random", partition, rng=Scripted(*draws))
         assert np.array_equal(row, want.flat)
 
@@ -371,3 +371,37 @@ def test_draw_weights_raise_on_zero_sum_set():
 def test_draw_weights_rejects_fixed_schemes():
     with pytest.raises(ValueError, match="'random' or 'dirac'"):
         glm.draw_weights("uniform", BLOCK_PARTITION, [np.random.default_rng(0)])
+
+
+def test_block_values_slice_the_member_axis():
+    rngs = [np.random.default_rng([5, t]) for t in range(3)]
+    block = glm.draw_weights("random", BLOCK_PARTITION, rngs)
+    for vec, members in zip(block.values, BLOCK_PARTITION.sets):
+        assert vec.shape == (3, len(members)) and np.shares_memory(vec, block.flat)
+        assert not vec.flags.writeable
+    with pytest.raises(ValueError, match=r"got shape \(2, 3, 40\)"):
+        LocalWeights(BLOCK_PARTITION, np.ones((2, 3, 40)))
+
+
+@pytest.mark.parametrize("scheme", ["random", "dirac"])
+def test_block_measures_like_its_rows_bitwise(scheme):
+    # set sizes past 8: a pairwise sum of a row would reorder its terms
+    rngs = [np.random.default_rng([6, t]) for t in range(5)]
+    block = glm.draw_weights(scheme, BLOCK_PARTITION, rngs)
+    rng = np.random.default_rng(7)
+    signals = rng.standard_normal((40, 5))
+    noise = NoiseModel(sigma=rng.uniform(0.1, 2.0, size=40))
+    m, sigma = glm.measure(signals, block), glm.equivalent_noise_sigma(block, noise)
+    assert m.shape == (4, 5) and sigma.shape == (5, 4)
+    for t, row in enumerate(block.flat):
+        w = LocalWeights(BLOCK_PARTITION, row)
+        assert np.array_equal(m[:, t], glm.measure(signals[:, t], w))
+        assert np.array_equal(sigma[t], glm.equivalent_noise_sigma(w, noise))
+
+
+def test_block_measure_needs_one_column_per_row():
+    block = glm.draw_weights("dirac", BLOCK_PARTITION, [np.random.default_rng(0)])
+    for bad in (np.ones(40), np.ones((40, 2))):
+        with pytest.raises(ValueError, match=r"^weights for 1 trials measure an "
+                                             r"\(n, 1\) signal, got shape"):
+            glm.measure(bad, block)
