@@ -27,9 +27,8 @@ from .generators import grid_graph, path_graph, random_geometric_graph
 from .graph import Graph, build_laplacian, load_edge_list
 from .localsets import greedy_partition, partition_metrics, suggest_nmax
 from .reconstruction import BandOperator
-from .sampling import (
-    _NEEDS_NOISE, _PER_TRIAL, WEIGHT_SCHEMES, NoiseModel, draw_weights, make_weights,
-)
+from .sampling import (_NEEDS_NOISE, _PER_TRIAL, WEIGHT_SCHEMES, NoiseModel,
+                       draw_weights, make_weights, measure)
 from .spectral import SpectralBasis, _Owned, eigendecompose, random_bandlimited_block
 
 __all__ = [
@@ -499,7 +498,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     finish("draws")
 
     op = BandOperator(basis, omega, partition)
-    gains, readouts = [], []
+    gains, measured = [], []
     for scheme in cfg.schemes:
         if scheme in _PER_TRIAL:  # one M per column, keyed by the scheme itself
             weights = draw_weights(scheme, partition, _trial_rngs(cfg.seed,
@@ -507,12 +506,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             weights = make_weights(scheme, partition, noise=model)
         gains.append(op.gain(weights))
-        readouts.append(op.readout(weights, observed))
+        measured.append(measure(observed, weights))
     factors = dict(zip(cfg.schemes, op.contractions(gains)))
     finish("weights")
     curves = {}
-    for scheme, gain, r in zip(cfg.schemes, gains, readouts):
-        errors = op.iterate(gain, r, cfg.max_iterations, truth=truth).errors
+    for scheme, gain, m in zip(cfg.schemes, gains, measured):
+        errors = op.iterate(gain, m, cfg.max_iterations, truth=truth).errors
         curves[scheme] = errors.T / truth_norm[:, None]
     finish("sweeps")
 

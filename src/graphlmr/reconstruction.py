@@ -13,9 +13,9 @@ gamma = C_max sqrt(omega), so when gamma < 1 the iteration
     f(k+1)  = f(k) + P( sum_i (m_i - <f(k), phi_i>) delta_{N_i} )
 
 contracts toward the unique bandlimited signal consistent with the
-measurements m_i; it runs on the band coefficients (:class:`BandOperator`).
-Decimation (one sampled vertex per set) and center-propagation variants are
-the same loop with dirac weight vectors.
+measurements m_i.  It reads f only through them (:func:`measure`) and runs
+on the band coefficients (:class:`BandOperator`).  Decimation (one sampled
+vertex per set) and center propagation are the same loop with dirac weights.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .localsets import Partition, _at_centers
-from .sampling import LocalWeights, make_weights
+from .sampling import LocalWeights, make_weights, measure
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -104,7 +104,8 @@ class Sweeps(NamedTuple):
 class BandOperator:
     """The ILMR iteration on band coefficients, for one (basis, omega, partition).
 
-    With f(k) = U_b c(k), U_b the n x k band eigenvectors, each sweep is
+    It consumes the measurements m (:func:`measure`), never a signal.  With
+    f(k) = U_b c(k), U_b the n x k band eigenvectors, each sweep is
     c(k+1) = c(k) + B^T (m - A c(k)) from c(0) = B^T m.  B^T = U_b^T S
     (``bt``, k x |I|, S spreads set values over members) is weight-free and
     A = Phi U_b (:meth:`measurement_matrix`, |I| x k); both are per-set sums
@@ -129,18 +130,19 @@ class BandOperator:
     def measurement_matrix(self, weights: LocalWeights) -> np.ndarray:
         """A = Phi U_b: the measurements of each band eigenvector, (|I|, k),
         for one weight vector per set; a (T, |V|) block raises."""
-        w = self._flat(weights)
-        if w.ndim != 1:
+        if self._flat(weights).ndim != 1:
             raise ValueError(f"measurement_matrix takes one weight vector per "
-                             f"set, not a block of shape {w.shape}")
-        return self.partition.sum_by_set(w[:, None] * self._rows)
+                             f"set, not a block of shape {weights.flat.shape}")
+        return measure(self.ub, weights)
 
     def gain(self, weights: LocalWeights) -> np.ndarray:
         """M = B^T A, (k, k), or (T, k, k) for a (T, |V|) block of per-trial
         weights (:func:`draw_weights`).
 
         M[a, b] sums spread[j, a] w[j] rows[j, b] over the members j.  A block
-        is built one row a at a time, so no (T, |V|, k) array is formed.
+        is built one row a at a time, so no (T, |V|, k) array is formed.  The
+        product is fused rather than B^T A with A from :func:`measure`, as
+        per-trial gains through A cost about 12x as much.
         """
         w = self._flat(weights)
         if w.ndim == 1:
@@ -150,14 +152,6 @@ class BandOperator:
         for a, spread in enumerate(self._spread.T):
             gain[:, a] = w @ (spread[:, None] * self._rows)
         return gain
-
-    def readout(self, weights: LocalWeights, signals: np.ndarray) -> np.ndarray:
-        """r = B^T m for the measurements m of the columns of ``signals`` (n, T),
-        (k, T); a (T, |V|) block of weights measures column t with row t."""
-        w = self._flat(weights)
-        measured = self.partition.gather(signals, "signal").T
-        measured *= w
-        return (measured @ self._spread).T
 
     @staticmethod
     def contractions(gains: Sequence[np.ndarray]) -> list[tuple[float, float]]:
@@ -182,20 +176,25 @@ class BandOperator:
                 for a, b in zip([0] + ends, ends)]
 
     def iterate(
-        self, gain: np.ndarray, r: np.ndarray, sweeps: int,
+        self, gain: np.ndarray, m: np.ndarray, sweeps: int,
         stop_tolerance: float = 0.0, truth: np.ndarray | None = None,
     ) -> Sweeps:
-        """Run up to ``sweeps`` sweeps on the columns of ``r`` = B^T m (k, T).
+        """Run up to ``sweeps`` sweeps from the measurements ``m`` (|I|, T).
 
         ``gain`` is M for every column, (k, k), or one per column, (T, k, k).
         With ``stop_tolerance`` > 0 the loop stops once every increment is at
         most that fraction of its column's previous norm.  ``truth`` (n, T)
         adds ||f(k) - truth|| = sqrt(||c(k) - U_b^T truth||^2 + offband).
         """
+        (k, sets), trials = self.bt.shape, m.shape[1:]
+        if m.ndim != 2 or len(m) != sets or gain.shape not in ((k, k), trials + (k, k)):
+            raise ValueError(f"expected |I| = {sets} rows of measurements, one column "
+                             f"per trial T, and a ({k}, {k}) or (T, {k}, {k}) gain; "
+                             f"got {m.shape} and {gain.shape}")
         if truth is not None:
             truth_c = self.ub.T @ truth
             offband = _column_sq(truth - self.ub @ truth_c)
-        c = r
+        c = r = self.bt @ m
         # squared norms, one row per iterate, rooted in place at the end
         increments = np.empty((sweeps + 1, c.shape[1]))
         errors = np.empty_like(increments) if truth is not None else None
@@ -256,7 +255,7 @@ def ilmr(
     if truth is not None:
         truth = _check_length(truth, basis.n, "track_truth")[:, None]
     out = op.iterate(
-        op.gain(weights), op.bt @ m[:, None], config.max_iterations,
+        op.gain(weights), m[:, None], config.max_iterations,
         config.stop_tolerance, truth,
     )
     gamma = c_max * math.sqrt(config.omega) if c_max is not None else None

@@ -68,10 +68,10 @@ class LocalWeights:
     flat: np.ndarray
 
     def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=np.float64)
-        verts = self.partition.vertices
-        if flat.ndim not in (1, 2) or flat.shape[-1:] != verts.shape:
-            raise ValueError(f"expected {verts.size} weights, got shape {flat.shape}")
+        flat, n = np.asarray(self.flat, dtype=np.float64), self.partition.vertices.size
+        if flat.ndim not in (1, 2) or flat.shape[-1] != n or 0 in flat.shape[:-1]:
+            raise ValueError(f"expected {n} weights, got shape {flat.shape} (one "
+                             "vector, or a block of T >= 1 rows of them)")
         flat = _normalize(self.partition, flat.copy())
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
@@ -187,8 +187,9 @@ def measure(signal: np.ndarray, weights: LocalWeights) -> np.ndarray:
     if w.ndim == 2 and f.shape[1:] != w.shape[1:]:
         raise ValueError(f"weights for {w.shape[1]} trials measure an "
                          f"(n, {w.shape[1]}) signal, got shape {f.shape}")
-    w = w.reshape(w.shape + (1,) * (f.ndim - w.ndim))
-    return weights.partition.sum_by_set(weights.partition.gather(f, "signal") * w)
+    measured = weights.partition.gather(f, "signal")  # a copy, weighted in place
+    measured *= w.reshape(w.shape + (1,) * (f.ndim - w.ndim))
+    return weights.partition.sum_by_set(measured)
 
 
 def equivalent_noise_sigma(weights: LocalWeights, noise: NoiseModel) -> np.ndarray:

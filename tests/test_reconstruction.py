@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,10 +41,9 @@ def test_band_operator_rejects_foreign_weights(p4):
         op.measurement_matrix(other)
     block = glm.draw_weights("random", other.partition,
                              [np.random.default_rng(t) for t in range(2)])
-    for method in (op.gain, lambda w: op.readout(w, np.zeros((4, 2)))):
-        for weights in (other, block):
-            with pytest.raises(ValueError, match="different partition"):
-                method(weights)
+    for weights in (other, block):
+        with pytest.raises(ValueError, match="different partition"):
+            op.gain(weights)
     with pytest.raises(ValueError, match="vertex range"):
         glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
 
@@ -60,8 +60,6 @@ def test_band_operator_rejects_a_block_for_other_sets_of_the_same_vertices():
     op = glm.BandOperator(_basis(graph), 1.0, pairs)
     with pytest.raises(ValueError, match="^weights belong to a different partition$"):
         op.gain(block)
-    with pytest.raises(ValueError, match="^weights belong to a different partition$"):
-        op.readout(block, np.zeros((16, 3)))
 
 
 def test_measurement_matrix_rejects_a_block(p4):
@@ -73,13 +71,24 @@ def test_measurement_matrix_rejects_a_block(p4):
         op.measurement_matrix(block)
 
 
-def test_band_operator_readout_rejects_0d_signal(p4):
-    _, basis = p4
-    p = Partition(sets=((0, 1), (2, 3)))
-    op = glm.BandOperator(basis, 0.1, p)
-    w = glm.make_weights("uniform", p)
-    with pytest.raises(ValueError, match=r"^signal must have a vertex axis"):
-        op.readout(w, np.float64(1.0))
+def test_iterate_rejects_measurements_and_gains_that_do_not_fit():
+    # a (1, k, k) gain would broadcast over every column, and the rest would
+    # fail inside numpy with a broadcast or matmul message
+    graph = glm.grid_graph(4, 4)
+    partition = glm.greedy_partition(graph, 2)
+    op = glm.BandOperator(_basis(graph), 1.0, partition)
+    k = op.ub.shape[1]
+    rngs = [np.random.default_rng(t) for t in range(3)]
+    gains = op.gain(glm.draw_weights("random", partition, rngs))
+    m = np.ones((8, 3))
+    assert op.iterate(gains, m, 2).coefficients.shape == (k, 3)
+    assert op.iterate(gains[0], m, 2).coefficients.shape == (k, 3)
+    for gain, bad in ((gains[:1], m), (gains[:2], m), (gains, np.ones((7, 3))),
+                      (gains[0], np.ones(8)), (gains[0][:, 1:], m)):
+        with pytest.raises(ValueError, match=rf"^expected \|I\| = 8 rows of "
+                           rf"measurements, .* got {re.escape(str(bad.shape))} and "
+                           rf"{re.escape(str(gain.shape))}$"):
+            op.iterate(gain, bad, 2)
 
 
 def test_ilmr_exact_on_constant():

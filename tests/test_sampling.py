@@ -373,6 +373,17 @@ def test_draw_weights_rejects_fixed_schemes():
         glm.draw_weights("uniform", BLOCK_PARTITION, [np.random.default_rng(0)])
 
 
+def test_a_block_of_weights_needs_a_row():
+    # an empty block would reach BandOperator.contractions, which cannot
+    # take the largest factor over no trials
+    message = r"^expected 40 weights, got shape \(0, 40\) \(one vector, or a block"
+    with pytest.raises(ValueError, match=message):
+        LocalWeights(BLOCK_PARTITION, np.ones((0, 40)))
+    for scheme in ("random", "dirac"):
+        with pytest.raises(ValueError, match=message):
+            glm.draw_weights(scheme, BLOCK_PARTITION, [])
+
+
 def test_block_values_slice_the_member_axis():
     rngs = [np.random.default_rng([5, t]) for t in range(3)]
     block = glm.draw_weights("random", BLOCK_PARTITION, rngs)
