@@ -71,7 +71,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{cfg.name}: |I| = {report.n_sets} sets, omega = {report.omega:.6g}, "
           f"C_max = {report.c_max:.6g}, gamma = {report.gamma:.6g}")
     if report.gamma >= 1.0:
-        print("warning: gamma >= 1, no convergence guarantee", file=sys.stderr)
+        print("warning: gamma >= 1, no a-priori guarantee", file=sys.stderr)
     for scheme in report.config.schemes:
         if report.spectral_radius[scheme] >= 1.0:
             print(f"warning: {scheme}: spectral radius "

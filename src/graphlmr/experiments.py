@@ -102,7 +102,7 @@ class ExperimentReport:
     """Aggregated curves plus the resolved run parameters.
 
     ``band_dim`` counts the eigenvalues in the band [0, omega]; a ``gamma``
-    >= 1 gives no convergence guarantee.  ``mean_rel_error[scheme][k]``
+    >= 1 gives no a-priori guarantee.  ``mean_rel_error[scheme][k]``
     averages the relative error after k iterations over all trials (k = 0 is
     the initial estimate); all curves share length ``max_iterations + 1`` and
     end in the steady state.  ``steady_errors[scheme]`` keeps the per-trial

@@ -36,22 +36,21 @@ __all__ = [
 
 @dataclass(frozen=True, init=False, eq=False)
 class Partition:
-    """Nonempty vertex sets, optionally with one center per set.
+    """Nonempty vertex sets.
 
     Stored as CSR arrays, as :class:`Graph` is: set ``i`` is
     ``vertices[indptr[i]:indptr[i + 1]]``, in the order given, both arrays
-    read-only int64; ``sets`` is derived on first access.  Construction only
-    enforces structure (integer ids that an int64 holds, nonempty sets,
-    matching center count); semantic requirements against a graph are
-    checked by :func:`validate_partition`, which reports them as data.
+    read-only int64; ``sets`` is derived on first access.  Two partitions
+    are equal when their sets are.  Construction only enforces structure
+    (integer ids that an int64 holds, nonempty sets); semantic requirements
+    against a graph are checked by :func:`validate_partition`, which
+    reports them as data.
     """
 
     vertices: np.ndarray = field(init=False)
     indptr: np.ndarray = field(init=False)
-    centers: tuple[int, ...] | None
 
-    def __init__(self, sets: Sequence[Sequence[int]],
-                 centers: Sequence[int] | None = None):
+    def __init__(self, sets: Sequence[Sequence[int]]):
         sets = tuple(sets)  # walked twice: an iterator would run out
         sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
         vertices = _int64_ids(list(chain.from_iterable(sets)))
@@ -60,19 +59,14 @@ class Partition:
         object.__setattr__(self, "vertices", vertices)
         indptr = np.concatenate(([0], np.cumsum(sizes)))
         object.__setattr__(self, "indptr", _read_only(indptr))
-        if centers is not None:
-            centers = tuple(_int64_ids(list(centers)).tolist())
-            if len(centers) != len(sizes):
-                raise ValueError(f"{len(centers)} centers for {len(sizes)} sets")
-        object.__setattr__(self, "centers", centers)
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         ptr, flat = self.indptr.tolist(), self.vertices.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
-    def _key(self) -> tuple[bytes, bytes, tuple[int, ...] | None]:  # sets, centers
-        return self.indptr.tobytes(), self.vertices.tobytes(), self.centers
+    def _key(self) -> tuple[bytes, bytes]:
+        return self.indptr.tobytes(), self.vertices.tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -117,9 +111,6 @@ class Partition:
             raise ValueError(f"{what} must have a vertex axis, got shape ()")
         self.check_range(len(values), what)
         return values[self.vertices]
-
-    def with_centers(self, centers: Sequence[int]) -> "Partition":
-        return Partition(sets=self.sets, centers=centers)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -213,55 +204,15 @@ def greedy_partition(graph: Graph, n_max: int) -> Partition:
 class _Reach:
     """Hop distances inside each checked set, from every member to every member.
 
-    ``union`` holds the induced subgraphs of the checked sets; its vertices
-    are their distinct members, sorted by set and then vertex, and set ``i``
-    owns vertices ``start[i]:start[i] + size[i]`` (``size[i] == 0`` for a set
-    that was not checked).  Its distances form the ``size[i] x size[i]``
-    row-major block of ``dist`` at ``block[i]``, -1 where the set's induced
-    subgraph has no path.
+    Set ``i`` has ``size[i]`` distinct members (0 for a set that was not
+    checked), and their distances form the ``size[i] x size[i]`` row-major
+    block of ``dist`` at ``block[i]``, members in ascending vertex order, -1
+    where the set's induced subgraph has no path.
     """
 
-    union: Graph
-    start: np.ndarray
     size: np.ndarray
     block: np.ndarray
     dist: np.ndarray
-
-
-def _search(graph: Graph, origin: np.ndarray, row: np.ndarray, slots: int,
-            branches: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Breadth-first search from every vertex of ``origin`` at once.
-
-    Source ``r`` starts at ``origin[r]`` and records its hop distance to
-    vertex ``q`` in ``dist[row[r] + q]`` (``slots`` entries, -1 where it has
-    no path).  A frontier of (source, vertex) pairs advances one level per
-    step for all sources.  With ``branches`` the frontier keeps each
-    source's queue order, so every vertex is first reached along the path a
-    one-source search scanning neighbors in ascending order would take,
-    and the second result counts per vertex how many vertices are first
-    reached through it as a child of their source (0 for the rest).
-    """
-    dist = np.full(slots, -1, dtype=np.int32)
-    source, target = np.arange(len(origin)), origin
-    dist[row + target] = 0
-    counts = np.zeros(graph.n_vertices, dtype=np.intp) if branches else None
-    level = 0
-    while source.size:
-        level += 1
-        step, target = graph.neighbors_of(target)
-        source = source[step]
-        pair = row[source] + target
-        fresh = np.flatnonzero(dist[pair] < 0)
-        pair, first = np.unique(pair[fresh], return_index=True)
-        dist[pair] = level
-        # the first discoveries; distances need no order, branches need
-        # discovery order
-        keep = fresh[np.sort(first) if branches else first]
-        source, target = source[keep], target[keep]
-        if branches:
-            child = target if level == 1 else child[step][keep]
-            counts += np.bincount(child, minlength=graph.n_vertices)
-    return dist, counts
 
 
 def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
@@ -270,18 +221,33 @@ def _set_reach(graph: Graph, set_ids: np.ndarray, members: np.ndarray,
 
     ``members`` are distinct in-range vertices sorted by ``set_ids`` and then
     by vertex.  The search walks the sets' induced subgraphs, all in one
-    graph.  Work is O(sum |N_i| (|N_i| + e_i)) and memory O(sum |N_i|^2).
+    graph, and a frontier of (source, vertex) pairs advances one level per
+    step for all sources.  Work is O(sum |N_i| (|N_i| + e_i)) and memory
+    O(sum |N_i|^2).
     """
     union = graph.induced_union(set_ids, members)
-    m = len(members)
     size = np.bincount(set_ids, minlength=n_sets)
     start = np.cumsum(size) - size
     block = np.cumsum(size * size) - size * size
-    # dist[row[r] + q]: hop distance from source r to target q (positions)
-    local = np.arange(m) - start[set_ids]
-    row = block[set_ids] + local * size[set_ids] - start[set_ids]
-    dist, _ = _search(union, np.arange(m), row, int((size * size).sum()))
-    return _Reach(union=union, start=start, size=size, block=block, dist=dist)
+    # dist[row[r] + q]: hop distance from source r to target q (positions in
+    # the union, whose vertices are the members in the given order)
+    source = target = np.arange(len(members))
+    row = block[set_ids] + (source - start[set_ids]) * size[set_ids] - start[set_ids]
+    dist = np.full(int((size * size).sum()), -1, dtype=np.int32)
+    dist[row + target] = 0
+    level = 0
+    while source.size:
+        level += 1
+        step, target = union.neighbors_of(target)
+        source = source[step]
+        pair = row[source] + target
+        fresh = np.flatnonzero(dist[pair] < 0)
+        # each newly reached pair continues once, from its first discovery
+        pair, first = np.unique(pair[fresh], return_index=True)
+        dist[pair] = level
+        keep = fresh[first]
+        source, target = source[keep], target[keep]
+    return _Reach(size=size, block=block, dist=dist)
 
 
 def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Reach]:
@@ -326,51 +292,34 @@ def _check_partition(graph: Graph, partition: Partition) -> tuple[list[str], _Re
         connected = np.minimum.reduceat(reach.dist, reach.block[sets]) >= 0
         violations += [f"set {i}: induced subgraph is disconnected"
                        for i in sets[~connected].tolist()]
-    if partition.centers is not None:
-        violations += _at_centers(partition)[1]
     return violations, reach
-
-
-def _at_centers(partition: Partition) -> tuple[np.ndarray, list[str]]:
-    """Members at their set's center (a mask), and a violation per set without."""
-    at_center = partition.vertices == np.repeat(partition.centers, partition.sizes())
-    outside = np.flatnonzero(partition.sum_by_set(at_center) == 0)
-    return at_center, [f"set {i}: center {partition.centers[i]} is not a member"
-                       for i in outside.tolist()]
 
 
 def validate_partition(graph: Graph, partition: Partition) -> list[str]:
     """Check a partition against a graph; returns violation messages.
 
     Violations (an empty list means valid): vertex index out of range, a
-    vertex appearing in more than one set, vertices not covered by any set,
-    a disconnected set, and a declared center outside its own set.
+    vertex appearing in more than one set, a vertex repeated within a set,
+    vertices not covered by any set, and a disconnected set.
     """
     return _check_partition(graph, partition)[0]
 
 
 @dataclass(frozen=True)
 class PartitionMetrics:
-    """Per-set geometry and the worst-case scores derived from it.
+    """Per-set geometry and the worst-case score derived from it.
 
     ``c_max = max_i sqrt(|N_i| * D_i)`` with ``D_i`` the hop diameter of the
-    induced subgraph (0 for singletons).  When centers are present,
-    ``radii[i]`` is the eccentricity of the center inside its set,
-    ``max_subtree[i]`` is the largest branch size K(u) of the breadth-first
-    tree rooted at the center (0 for singletons), and
-    ``q_max = max_i sqrt(K_i * R_i)``; otherwise those fields are ``None``.
+    induced subgraph (0 for singletons).
     """
 
     sizes: tuple[int, ...]
     diameters: tuple[int, ...]
     c_max: float
-    radii: tuple[int, ...] | None = None
-    max_subtree: tuple[int, ...] | None = None
-    q_max: float | None = None
 
 
 def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
-    """Compute per-set diameters (and center radii/subtree sizes) plus scores.
+    """Compute per-set sizes and diameters plus the ``c_max`` score.
 
     Raises ``ValueError`` when the partition is not valid for the graph.
     """
@@ -379,31 +328,8 @@ def partition_metrics(graph: Graph, partition: Partition) -> PartitionMetrics:
         raise ValueError(f"invalid partition: {violations[0]}")
     sizes = partition.sizes().tolist()
     diameters = np.maximum.reduceat(reach.dist, reach.block).tolist() if sizes else []
-    c_max = max(
-        math.sqrt(n * d) for n, d in zip(sizes, diameters)
-    ) if sizes else 0.0
-    if partition.centers is None:
-        return PartitionMetrics(
-            sizes=tuple(sizes), diameters=tuple(diameters), c_max=c_max
-        )
-    # a center's position in the union is its rank within its sorted set
-    below = partition.vertices < np.repeat(partition.centers, partition.sizes())
-    origin = reach.start + partition.sum_by_set(below.astype(np.intp))
-    dist, counts = _search(reach.union, origin, np.zeros_like(origin),
-                           reach.union.n_vertices, branches=True)
-    radii = np.maximum.reduceat(dist, reach.start).tolist() if sizes else []
-    subtree = np.maximum.reduceat(counts, reach.start).tolist() if sizes else []
-    q_max = max(
-        math.sqrt(k * r) for k, r in zip(subtree, radii)
-    ) if sizes else 0.0
-    return PartitionMetrics(
-        sizes=tuple(sizes),
-        diameters=tuple(diameters),
-        c_max=c_max,
-        radii=tuple(radii),
-        max_subtree=tuple(subtree),
-        q_max=q_max,
-    )
+    c_max = max((math.sqrt(n * d) for n, d in zip(sizes, diameters)), default=0.0)
+    return PartitionMetrics(sizes=tuple(sizes), diameters=tuple(diameters), c_max=c_max)
 
 
 def suggest_nmax(omega: float) -> int:
@@ -418,10 +344,7 @@ def suggest_nmax(omega: float) -> int:
 
 
 def format_partition(partition: Partition) -> str:
-    """Serialize: one set per line, members space-separated.  A partition file
-    holds sets only, so a partition with centers is rejected, not truncated."""
-    if partition.centers is not None:
-        raise ValueError("a partition file holds sets only, not centers")
+    """Serialize: one set per line, members space-separated."""
     return "\n".join([" ".join([str(v) for v in s]) for s in partition.sets]) + "\n"
 
 

@@ -1,6 +1,6 @@
 """Iterative reconstruction of bandlimited signals from local measurements.
 
-The engine behind all three variants is the same fixed-point iteration.
+The engine behind :func:`ilmr` and :func:`ilsr` is one fixed-point iteration.
 Writing P for the bandlimiting projector and G for the "measure, spread back
 over the sets, project" operator
 
@@ -15,7 +15,7 @@ gamma = C_max sqrt(omega), so when gamma < 1 the iteration
 contracts toward the unique bandlimited signal consistent with the
 measurements m_i.  It reads f only through them (:func:`measure`) and runs
 on the band coefficients (:class:`BandOperator`).  Decimation (one sampled
-vertex per set) and center propagation are the same loop with dirac weights.
+vertex per set) is the same loop with dirac weights.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .localsets import Partition, _at_centers
+from .localsets import Partition
 from .sampling import LocalWeights, make_weights, measure
 from .spectral import SpectralBasis
 
@@ -37,7 +37,6 @@ __all__ = [
     "ReconstructionRun",
     "ilmr",
     "ilsr",
-    "ipr",
 ]
 
 _TINY = 1e-300  # guards the relative-increment test when the iterate is zero
@@ -76,7 +75,7 @@ class ReconstructionRun:
     (entry 0 is ||f(0)||); ``error_trace`` aligns with it when truth was
     tracked, else ``None``.  ``gamma`` is the a-priori contraction factor
     when the caller supplied the constant to compute it, else ``None``; a
-    gamma >= 1 gives no convergence guarantee.
+    gamma >= 1 gives no a-priori guarantee.
     ``stop_reason`` is ``"converged"`` or ``"max_iterations"``.
     """
 
@@ -123,7 +122,7 @@ class BandOperator:
         self._spread = self.bt.T[partition.member_arrays()[1]]
 
     def _flat(self, weights: LocalWeights) -> np.ndarray:
-        if weights.partition._key()[:2] != self.partition._key()[:2]:  # the sets
+        if weights.partition != self.partition:
             raise ValueError("weights belong to a different partition")
         return weights.flat
 
@@ -289,26 +288,3 @@ def ilsr(
     partition = Partition(sets=tuple((u,) for u in samples))
     weights = make_weights("uniform", partition)  # single member: weight 1
     return ilmr(decimated, partition, weights, basis, config)
-
-
-def ipr(
-    decimated: np.ndarray,
-    partition: Partition,
-    basis: SpectralBasis,
-    config: ReconstructionConfig,
-    q_max: float | None = None,
-) -> ReconstructionRun:
-    """Reconstruct from center samples propagated over their local sets.
-
-    ``decimated[i]`` is f evaluated at ``partition.centers[i]``; the update
-    spreads each center's residual over its whole set, i.e. the iteration
-    with dirac weights at the centers.  ``q_max`` (the partition's max
-    sqrt(K R) score) yields the reported gamma, as with :func:`ilmr`.
-    """
-    if partition.centers is None:
-        raise ValueError("ipr requires a partition with centers")
-    at_center, outside = _at_centers(partition)
-    if outside:
-        raise ValueError(outside[0])
-    weights = LocalWeights(partition, at_center)
-    return ilmr(decimated, partition, weights, basis, config, c_max=q_max)

@@ -5,7 +5,7 @@ stated tolerance on fixed, reproducible setups:
 
 1.  projection-spread bound  sup_f ||f - Gf|| / ||f|| <= C_max sqrt(omega)
 2.  noise-free geometric decay at rate gamma and convergence
-3.  dirac-weight / center-propagation / decimation equivalences
+3.  dirac-weight / decimation equivalences
 4.  inverse-variance weights minimize the equivalent noise variance
 5.  realized-noise error bound dominates the observed error at every k
 6.  grouped-noise steady state: optimal < uniform < optimal_dirac
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import graphlmr as glm
-from oracles import bootstrap_gap_quantile, to_matrix
+from oracles import bootstrap_gap_quantile, oracle, to_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -74,10 +74,11 @@ def test_2_noise_free_decay_and_convergence(grid20, grid20_pairs, rgg300,
 
 
 def test_3_dirac_singleton_equivalences(grid20, grid20_pairs):
+    # one sample per set is a local measurement with one-hot weights: it
+    # reads the sample bit for bit, and ilmr on it is the dense ILMR sweep
     _, basis = grid20
     partition, _ = grid20_pairs
     centers = tuple(s[0] for s in partition.sets)
-    centered = partition.with_centers(centers)
     one_hot = glm.LocalWeights(
         partition=partition,
         flat=np.concatenate(
@@ -95,10 +96,11 @@ def test_3_dirac_singleton_equivalences(grid20, grid20_pairs):
         f = glm.random_bandlimited(basis, 0.03, rng)
         noisy = f + 0.01 * rng.standard_normal(basis.n)
         decimated = noisy[list(centers)]
+        assert np.array_equal(glm.measure(noisy, one_hot), decimated)
 
-        via_ipr = glm.ipr(decimated, centered, basis, config).estimate
         via_ilmr = glm.ilmr(decimated, partition, one_hot, basis, config).estimate
-        assert np.max(np.abs(via_ipr - via_ilmr)) <= 1e-12
+        dense, *_ = oracle(basis, 0.03, partition, one_hot, decimated, 30)
+        assert np.max(np.abs(via_ilmr - dense)) <= 1e-12
 
         via_ilsr = glm.ilsr(decimated, centers, basis, config).estimate
         via_ilmr_s = glm.ilmr(

@@ -1,8 +1,8 @@
 """The band-coordinate iteration against two oracles.
 
-The dense oracle runs f <- f + U U^T S (m - Phi f) on length-n vectors with
-a dense Phi (``oracles.to_matrix``) and a dense membership matrix S,
-the textbook form of the ILMR sweep.  The measurement-space oracle runs
+The dense oracle (``oracles.oracle``) runs f <- f + U U^T S (m - Phi f) on
+length-n vectors with a dense Phi and a dense membership matrix S, the
+textbook form of the ILMR sweep.  The measurement-space oracle runs
 c <- c + B^T (m - A c) on the band coefficients with |I|-length residuals.
 The package sweeps c <- c + r - M c with the k x k gain M = B^T A instead;
 all must give the same curves and estimates.
@@ -22,38 +22,7 @@ from graphlmr.experiments import (
     _rng,
     _trial_rngs,
 )
-from oracles import to_matrix
-
-
-def spread_matrix(partition, n):
-    s = np.zeros((n, partition.n_sets))
-    for i, members in enumerate(partition.sets):
-        s[list(members), i] = 1.0
-    return s
-
-
-def oracle(basis, omega, partition, weights, m, sweeps, stop_tolerance=0.0,
-           truth=None):
-    """Dense ILMR: returns (estimate, iterations, stop_reason, error trace)."""
-    ub = basis.band_vectors(omega)
-    proj = ub @ ub.T
-    phi = to_matrix(weights, basis.n)
-    spread = spread_matrix(partition, basis.n)
-    f = proj @ spread @ m
-    errors = [np.linalg.norm(f - truth)] if truth is not None else None
-    iterations, reason = 0, "max_iterations"
-    for _ in range(sweeps):
-        prev = np.linalg.norm(f)
-        correction = proj @ spread @ (m - phi @ f)
-        f = f + correction
-        iterations += 1
-        if errors is not None:
-            errors.append(np.linalg.norm(f - truth))
-        if stop_tolerance > 0 and np.linalg.norm(correction) <= stop_tolerance * max(
-                prev, 1e-300):
-            reason = "converged"
-            break
-    return f, iterations, reason, np.array(errors) if errors is not None else None
+from oracles import oracle, to_matrix
 
 
 def measurement_space_oracle(op, a, m, sweeps, stop_tolerance=0.0, truth=None):

@@ -88,7 +88,7 @@ def test_run_warns_when_the_iteration_diverges(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
     out, err = capsys.readouterr()
     assert err.splitlines() == [
-        "warning: gamma >= 1, no convergence guarantee",
+        "warning: gamma >= 1, no a-priori guarantee",
         "warning: optimal_dirac: spectral radius 1.07099 >= 1, "
         "the iteration diverges",
     ]

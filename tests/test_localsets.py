@@ -82,17 +82,16 @@ def test_validate_reports_coverage_and_range():
     assert any("out of range" in v for v in out)
 
 
+def test_validate_reports_repeated_vertex():
+    g = glm.path_graph(4)
+    out = glm.validate_partition(g, Partition(sets=((0, 1, 0), (2, 3))))
+    assert out == ["set 0: repeated vertex within the set"]
+
+
 def test_validate_reports_disconnected_set():
     g = glm.path_graph(3)
     out = glm.validate_partition(g, Partition(sets=((0, 2), (1,))))
     assert out == ["set 0: induced subgraph is disconnected"]
-
-
-def test_validate_reports_center_membership():
-    g = glm.path_graph(4)
-    p = Partition(sets=((0, 1), (2, 3)), centers=(0, 1))
-    out = glm.validate_partition(g, p)
-    assert out == ["set 1: center 1 is not a member"]
 
 
 def test_validate_accepts_greedy_output(grid20):
@@ -103,18 +102,12 @@ def test_validate_accepts_greedy_output(grid20):
 def test_partition_constructor_structural_checks():
     with pytest.raises(ValueError, match="nonempty"):
         Partition(sets=((0, 1), ()))
-    with pytest.raises(ValueError, match="centers"):
-        Partition(sets=((0, 1),), centers=(0, 1))
     # ids that are not integers are not truncated
     with pytest.raises(TypeError):
         Partition(sets=((0, 1.7), (2,)))
-    with pytest.raises(TypeError):
-        Partition(sets=((0, 1), (2,)), centers=(0.9, 2))
-    with pytest.raises(TypeError):
-        Partition(sets=((0, 1), (2,))).with_centers([0, 2.0])
-    p = Partition(sets=(np.array([0, 1]), [np.int64(2)]), centers=np.array([1, 2]))
-    assert p.sets == ((0, 1), (2,)) and p.centers == (1, 2)
-    assert all(type(v) is int for v in (*p.sets[0], *p.sets[1], *p.centers))
+    p = Partition(sets=(np.array([0, 1]), [np.int64(2)]))
+    assert p.sets == ((0, 1), (2,))
+    assert all(type(v) is int for v in (*p.sets[0], *p.sets[1]))
 
 
 @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 10**20, -(10**20)])
@@ -122,10 +115,6 @@ def test_partition_ids_beyond_int64_raise_at_construction(big):
     match = f"^partition holds vertex {big}, beyond any vertex index$"
     with pytest.raises(ValueError, match=match):
         Partition(sets=((0, 1), (2, big, 3)))
-    with pytest.raises(ValueError, match=match):
-        Partition(sets=((0, 1), (2,)), centers=(1, big))
-    with pytest.raises(ValueError, match=match):
-        Partition(sets=((0, 1), (2,))).with_centers([0, big])
     # a file field is -?[0-9]{1,18}, so ids beyond int64 are no field there
     with pytest.raises(EdgeListError, match=rf"^line 3: non-integer field in "
                        rf"\['2', '{big}', '3'\]$"):
@@ -140,14 +129,14 @@ def test_partition_ids_beyond_int64_raise_at_construction(big):
 
 
 def test_partition_is_stored_as_csr_arrays():
-    p = Partition(sets=([3, 1], (0,), np.array([2, 4])), centers=[1, 0, 4])
+    p = Partition(sets=([3, 1], (0,), np.array([2, 4])))
     assert p.vertices.dtype == np.int64 and p.indptr.dtype == np.int64
     assert p.vertices.tolist() == [3, 1, 0, 2, 4] and p.indptr.tolist() == [0, 2, 3, 5]
     assert not p.vertices.flags.writeable and not p.indptr.flags.writeable
-    assert p.sets == ((3, 1), (0,), (2, 4)) and p.centers == (1, 0, 4)
-    assert p == Partition(sets=p.sets, centers=p.centers)
-    assert hash(p) == hash(Partition(sets=p.sets, centers=p.centers))
-    assert p != Partition(sets=p.sets) and p != Partition(sets=((3, 1), (0, 2, 4)))
+    assert p.sets == ((3, 1), (0,), (2, 4))
+    assert p == Partition(sets=p.sets) and hash(p) == hash(Partition(sets=p.sets))
+    assert p != Partition(sets=((3, 1), (0, 2, 4)))
+    assert p != Partition(sets=((1, 3), (0,), (2, 4)))  # member order is kept
     assert Partition(s for s in p.sets) == Partition(sets=p.sets)
 
 
@@ -181,43 +170,50 @@ def test_metrics_p4_pairs():
     m = glm.partition_metrics(g, Partition(sets=((0, 1), (2, 3))))
     assert m.sizes == (2, 2) and m.diameters == (1, 1)
     assert m.c_max == pytest.approx(math.sqrt(2.0))
-    assert m.radii is None and m.q_max is None
 
 
 def test_metrics_star_centered():
+    # a star centered at hub 0: any two leaves are two hops apart
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    hub = glm.partition_metrics(star, Partition(sets=((0, 1, 2, 3),), centers=(0,)))
-    assert hub.diameters == (2,) and hub.radii == (1,) and hub.max_subtree == (1,)
-    assert hub.c_max == pytest.approx(math.sqrt(8.0))
-    assert hub.q_max == pytest.approx(1.0)
-    leaf = glm.partition_metrics(star, Partition(sets=((0, 1, 2, 3),), centers=(1,)))
-    # from a leaf, the whole rest of the star hangs off one branch
-    assert leaf.radii == (2,) and leaf.max_subtree == (3,)
-    assert leaf.q_max == pytest.approx(math.sqrt(6.0))
+    m = glm.partition_metrics(star, Partition(sets=((0, 1, 2, 3),)))
+    assert m.sizes == (4,) and m.diameters == (2,)
+    assert m.c_max == pytest.approx(math.sqrt(8.0))
 
 
 def test_metrics_path_center():
+    # both ends are two hops from the center 2, so four from each other
     g = glm.path_graph(5)
-    m = glm.partition_metrics(g, Partition(sets=((0, 1, 2, 3, 4),), centers=(2,)))
-    assert m.diameters == (4,) and m.radii == (2,) and m.max_subtree == (2,)
+    m = glm.partition_metrics(g, Partition(sets=((0, 1, 2, 3, 4),)))
+    assert m.diameters == (4,) and m.c_max == pytest.approx(math.sqrt(20.0))
 
 
 def test_metrics_singleton_set():
     g = glm.path_graph(2)
-    m = glm.partition_metrics(g, Partition(sets=((0,), (1,)), centers=(0, 1)))
-    assert m.diameters == (0, 0) and m.max_subtree == (0, 0)
-    assert m.c_max == 0.0 and m.q_max == 0.0
+    m = glm.partition_metrics(g, Partition(sets=((0,), (1,))))
+    assert m.diameters == (0, 0) and m.c_max == 0.0
 
 
 def test_metrics_branch_follows_first_discovery():
-    # 7 is two hops below both children of 0; the breadth-first queue
-    # reaches 9 (under 1) before 3 (under 5), so 7 hangs off branch 1
+    # 0-1-9-7-3-5-0 is a 6-cycle and 4 hangs off 5; the search from 0
+    # reaches 7 along both branches (via 9 and via 3) in one step and keeps
+    # the first discovery.  The set is listed out of vertex order, and the
+    # farthest pairs are 4 and 9 (4 hops each way round the cycle)
     g = Graph.from_edges(
         10, [(0, 1), (0, 5), (1, 9), (5, 3), (5, 4), (9, 7), (3, 7)]
     )
-    p = Partition(sets=((0, 1, 3, 4, 5, 7, 9), (2,), (6,), (8,)), centers=(0, 2, 6, 8))
+    p = Partition(sets=((9, 0, 1, 3, 4, 5, 7), (2,), (6,), (8,)))
     m = glm.partition_metrics(g, p)
-    assert m.radii == (3, 0, 0, 0) and m.max_subtree == (3, 0, 0, 0)
+    assert m.sizes == (7, 1, 1, 1) and m.diameters == (4, 0, 0, 0)
+    assert m.c_max == pytest.approx(math.sqrt(28.0))
+
+
+def test_metrics_do_not_depend_on_member_order():
+    g = glm.grid_graph(4, 4)
+    p = glm.greedy_partition(g, 5)
+    q = Partition([tuple(reversed(s)) for s in p.sets])
+    assert p != q  # member order is part of a partition
+    assert glm.partition_metrics(g, q) == glm.partition_metrics(g, p)
+    assert glm.partition_metrics(g, p).diameters == (4, 4, 4, 0)
 
 
 def test_metrics_rejects_invalid_partition():
@@ -249,6 +245,16 @@ def test_partition_serialization_roundtrip(tmp_path):
     assert glm.read_partition(path) == p
 
 
+def test_partition_file_keeps_member_order(tmp_path):
+    # greedy sets list their seed first, and a file holds them as they are
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    p = glm.greedy_partition(star, 2)
+    path = tmp_path / "p.txt"
+    glm.write_partition(p, path)
+    assert path.read_text() == "1 0\n2\n3\n"
+    assert glm.read_partition(path) == p
+
+
 def test_partition_parse_skips_blank_and_comment_lines():
     p = glm.localsets.parse_partition("# comment\n0 1\n\n2 3\n")
     assert p == Partition(sets=((0, 1), (2, 3)))
@@ -262,11 +268,3 @@ def test_partition_parse_errors():
     with pytest.raises(EdgeListError, match=r"^line 3: non-integer field in "
                        r"\['2', '1', 'center=1'\]$"):
         glm.localsets.parse_partition("0 1\n\n2 1 center=1\n")
-
-
-def test_partition_with_centers_is_not_written(tmp_path):
-    p = Partition(sets=((0, 1), (2, 3)), centers=(1, 2))
-    path = tmp_path / "p.txt"
-    with pytest.raises(ValueError, match="sets only"):
-        glm.write_partition(p, path)
-    assert not path.exists()

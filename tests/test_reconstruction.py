@@ -6,6 +6,7 @@ import pytest
 
 import graphlmr as glm
 from graphlmr import Partition, ReconstructionConfig
+from oracles import oracle
 
 
 def _basis(graph):
@@ -46,6 +47,19 @@ def test_band_operator_rejects_foreign_weights(p4):
             op.gain(weights)
     with pytest.raises(ValueError, match="vertex range"):
         glm.BandOperator(basis, 0.1, Partition(sets=((0, 4),)))
+
+
+def test_band_operator_takes_weights_on_an_equal_partition(p4):
+    # a partition is its sets: two built apart are equal, hash alike, and
+    # either one's weights serve the other's operator
+    _, basis = p4
+    p, q = Partition(sets=((0, 1), (2, 3))), Partition(sets=[[0, 1], [2, 3]])
+    assert p is not q and p == q and hash(p) == hash(q)
+    op = glm.BandOperator(basis, 0.1, p)
+    w = glm.make_weights("uniform", q)
+    assert np.array_equal(op.gain(w), op.gain(glm.make_weights("uniform", p)))
+    block = glm.draw_weights("random", q, [np.random.default_rng(t) for t in range(2)])
+    assert op.gain(block).shape == (2, op.ub.shape[1], op.ub.shape[1])
 
 
 def test_band_operator_rejects_a_block_for_other_sets_of_the_same_vertices():
@@ -217,36 +231,40 @@ def test_ilsr_input_validation(p4):
         glm.ilsr(np.zeros(2), [0.6, 2.9], basis, cfg)
 
 
-def test_ipr_requires_centers(p4):
-    _, basis = p4
-    p = Partition(sets=((0, 1), (2, 3)))
-    with pytest.raises(ValueError, match="centers"):
-        glm.ipr(np.zeros(2), p, basis, ReconstructionConfig(omega=0.1))
-
-
-def test_ipr_rejects_a_center_outside_its_set(p4):
-    _, basis = p4
-    p = Partition(sets=((0, 1), (2, 3)), centers=(1, 0))
-    with pytest.raises(ValueError, match="set 1: center 0 is not a member"):
-        glm.ipr(np.zeros(2), p, basis, ReconstructionConfig(omega=0.1))
-
-
 def test_ilmr_dirac_equals_ipr(grid20):
-    # dirac local measurements degenerate to decimation plus propagation
+    # dirac local measurements degenerate to decimation plus propagation:
+    # they are samples at one vertex per set, and ilmr on them is the dense
+    # ILMR sweep
     graph, basis = grid20
     partition = glm.greedy_partition(graph, 3)
     rng = np.random.default_rng(21)
     centers = tuple(s[rng.integers(len(s))] for s in partition.sets)
-    centered = partition.with_centers(centers)
     one_hot = [np.eye(len(s))[s.index(c)] for c, s in zip(centers, partition.sets)]
     weights = glm.LocalWeights(partition, np.concatenate(one_hot))
     omega = 0.03
     f = glm.random_bandlimited(basis, omega, rng)
     samples = f[np.array(centers)]
+    assert np.array_equal(glm.measure(f, weights), samples)
     cfg = ReconstructionConfig(omega=omega, max_iterations=40, stop_tolerance=0.0)
-    via_ilmr = glm.ilmr(glm.measure(f, weights), partition, weights, basis, cfg)
-    via_ipr = glm.ipr(samples, centered, basis, cfg)
-    assert np.allclose(via_ilmr.estimate, via_ipr.estimate, atol=1e-12)
+    via_ilmr = glm.ilmr(samples, partition, weights, basis, cfg)
+    dense, *_ = oracle(basis, omega, partition, weights, samples, 40)
+    assert np.max(np.abs(via_ilmr.estimate - dense)) <= 1e-12
+
+
+def test_ilmr_dirac_gamma_from_c_max():
+    # the a-priori factor is c_max sqrt(omega) whatever the weights; the
+    # iteration runs on even where it gives no guarantee
+    star = glm.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    basis = _basis(star)
+    p = Partition(sets=((0, 1, 2, 3),))
+    metrics = glm.partition_metrics(star, p)
+    hub = glm.LocalWeights(p, np.array([1.0, 0.0, 0.0, 0.0]))
+    run = glm.ilmr(
+        np.array([1.0]), p, hub, basis,
+        ReconstructionConfig(omega=0.25, max_iterations=5), c_max=metrics.c_max,
+    )
+    assert run.gamma == pytest.approx(math.sqrt(8.0) * 0.5)
+    assert np.all(np.isfinite(run.estimate))
 
 
 def test_ilmr_singletons_equals_ilsr(grid20):
@@ -262,19 +280,6 @@ def test_ilmr_singletons_equals_ilsr(grid20):
     via_ilmr = glm.ilmr(samples, singletons, weights, basis, cfg)
     via_ilsr = glm.ilsr(samples, sample_set, basis, cfg)
     assert np.allclose(via_ilmr.estimate, via_ilsr.estimate, atol=1e-12)
-
-
-def test_ipr_gamma_from_q_max():
-    star = glm.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    basis = _basis(star)
-    p = Partition(sets=((0, 1, 2, 3),), centers=(0,))
-    metrics = glm.partition_metrics(star, p)
-    run = glm.ipr(
-        np.array([1.0]), p, basis,
-        ReconstructionConfig(omega=0.25, max_iterations=5),
-        q_max=metrics.q_max,
-    )
-    assert run.gamma == pytest.approx(metrics.q_max * 0.5)
 
 
 def test_contraction_ratio_bound_holds(grid20, grid20_pairs):
