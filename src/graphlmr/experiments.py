@@ -7,7 +7,8 @@ truth.  Everything is derived from one integer seed through named
 SeedSequence streams, so adding trials or adding, removing or reordering
 schemes never disturbs the draws of the others.  Rerun CSVs are
 byte-identical for one numpy, BLAS kernel and thread count; across those
-the rgg configs agree within rtol 1e-9, atol 1e-12.
+the rgg configs agree within rtol 1e-9, atol 1e-12, and so do runs with
+or without scipy.
 """
 
 from __future__ import annotations
@@ -128,6 +129,7 @@ class ExperimentReport:
     contraction: dict[str, float]
     spectral_radius: dict[str, float]
     timings: dict[str, float]
+    solver: dict[str, str | int]  # eigensolver path, m vectors kept, n vertices
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +460,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         timings[stage] += now - mark
         mark = now
 
+    def band_size(vals: np.ndarray) -> int:
+        spectrum = SpectralBasis(vals, np.empty((vals.size, 0)))  # no vectors yet
+        return spectrum.band_dim(_resolve_omega(cfg, spectrum))
+
     graph = _build_graph(cfg)
     finish("graph")
     laplacian = build_laplacian(graph)
     finish("laplacian")
-    # handed over: the solver may overwrite it, and the trials never read it
-    basis = eigendecompose(_Owned(laplacian))
+    # handed over: the solver may overwrite it, and the trials never read it;
+    # it keeps the band's eigenvectors, or all of them for off-band draws
+    basis = eigendecompose(_Owned(laplacian, len if cfg.offband_energy else band_size))
     del laplacian
     finish("eigendecompose")
     omega = _resolve_omega(cfg, basis)
@@ -529,6 +536,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         contraction={s: factors[s][0] for s in cfg.schemes},
         spectral_radius={s: factors[s][1] for s in cfg.schemes},
         timings=timings,
+        solver={"path": basis.solver, "m": basis.eigenvectors.shape[1], "n": basis.n},
     )
 
 
@@ -541,7 +549,8 @@ def format_report_csv(report: ExperimentReport) -> str:
 
     Floats are serialized with repr (shortest round-trip form): reruns are
     byte-identical for one numpy, BLAS kernel and thread count, and across
-    those the rgg configs agree within rtol 1e-9, atol 1e-12.
+    those the rgg configs agree within rtol 1e-9, atol 1e-12, and so do
+    runs with or without scipy.
     """
     lines = ["scheme,iteration,mean_rel_error,std_rel_error"]
     for scheme in report.config.schemes:
@@ -557,9 +566,9 @@ def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
 
 
 def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
-    """Sidecar JSON echoing the config, the resolved run parameters, each
-    scheme's contraction factor and spectral radius, the stage timings in
-    seconds and the time of writing."""
+    """Sidecar JSON echoing the config, the resolved run parameters, the
+    eigensolver, each scheme's contraction factor and spectral radius, the
+    stage timings in seconds and the time of writing."""
     payload = {
         "name": report.config.name,
         "config": asdict(report.config),
@@ -572,6 +581,7 @@ def write_report_meta(report: ExperimentReport, path: str | Path) -> None:
             "gamma": report.gamma,
             "gamma_warning": report.gamma >= 1.0,
         },
+        "solver": report.solver,
         "steady_state": {
             s: {
                 "mean": float(report.mean_rel_error[s][-1]),

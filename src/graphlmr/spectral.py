@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,31 +26,32 @@ _SYMMETRY_BLOCK = 1 << 14
 # Order from which an owned Laplacian is decomposed in its own buffer.
 # np.linalg.eigh holds five n x n float64 arrays at its peak: the input, its
 # Fortran-order copy, LAPACK dsyevd's 2n^2 + 6n + 1 workspace and a fresh
-# output.  dsyevd run in the input's buffer holds three, 16 n^2 bytes fewer,
-# but needs scipy.linalg, whose import costs 28.4 MiB of resident memory
-# (max RSS 55.2 against 26.8 MiB after importing numpy alone; scipy 1.17,
-# Linux x86-64).  16 n^2 bytes exceed 28.4 MiB from n = 1365 on.
+# output.  dsytrd in the input's buffer, then dstevd's vectors and workspace,
+# hold three, 16 n^2 bytes fewer, but need scipy.linalg, whose import costs
+# 28.4 MiB of resident memory (max RSS 55.2 against 26.8 MiB after importing
+# numpy alone; scipy 1.17, Linux x86-64): more than 16 n^2 bytes below 1365.
 _IN_PLACE_MIN_N = 1365
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Eigendecomposition of a graph Laplacian.
+    """All n eigenvalues of a graph Laplacian and the lowest m eigenvectors.
 
-    ``eigenvalues`` is finite and ascending; column ``k`` of ``eigenvectors``
-    is the unit eigenvector for ``eigenvalues[k]``.  Arrays are read-only;
-    the constructor copies what it is given, the vectors in C order, so
-    later changes to the caller's arrays never reach the basis.
+    ``eigenvalues`` is finite and ascending; column ``k`` of the (n, m)
+    ``eigenvectors``, m <= n, is the unit eigenvector for ``eigenvalues[k]``;
+    ``solver`` names their eigensolver.  The basis keeps read-only copies,
+    the vectors in C order, so later changes to the given arrays never reach it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    solver: str | None = None
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=np.float64)
         vecs = np.array(self.eigenvectors, dtype=np.float64, order="C")
-        if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
-            raise ValueError("eigenvalues must be (n,), eigenvectors (n, n)")
+        if vals.ndim != 1 or vecs.ndim != 2 or not vals.size == len(vecs) >= len(vecs.T):
+            raise ValueError("eigenvalues must be (n,), eigenvectors (n, m) with m <= n")
         if not np.isfinite(vals).all():
             raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
@@ -84,15 +85,18 @@ class SpectralBasis:
 
     def band_vectors(self, omega: float) -> np.ndarray:
         """Columns spanning the band, shape (n, band_dim); a view of the prefix."""
-        return self.eigenvectors[:, : self.band_dim(omega)]
+        if (k := self.band_dim(omega)) > (m := self.eigenvectors.shape[1]):
+            raise ValueError(f"the band has dimension {k}, the basis only {m} vectors")
+        return self.eigenvectors[:, :k]
 
 
 @dataclass(frozen=True, eq=False)
 class _Owned:
-    """A Laplacian handed to :func:`eigendecompose` by a caller that drops it
-    right after, so the solver may overwrite it."""
+    """A Laplacian whose caller drops it right after :func:`eigendecompose`,
+    so the solver may overwrite it and keep ``columns(eigenvalues)`` vectors."""
 
     laplacian: np.ndarray
+    columns: Callable[[np.ndarray], int] = len
 
 
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
@@ -107,32 +111,41 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"laplacian must be square, got shape {lap.shape}")
     _check_symmetric(lap)
+    columns = laplacian.columns if owned else len
     solved = None
     if (owned and lap.shape[0] >= _IN_PLACE_MIN_N
             and lap.flags.c_contiguous and lap.flags.writeable):
-        solved = _eigh_in_place(lap)
+        solved = _eigh_in_place(lap, columns)
+    if solved is None:
+        vals, vecs = np.linalg.eigh(lap)
+        solved = vals, vecs[:, :columns(vals)], "np.linalg.eigh"
     # the basis copies the vectors in C order once the solver's workspace is
     # freed, so products over them round alike whichever solver ran
-    vals, vecs = solved if solved is not None else np.linalg.eigh(lap)
-    return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
+    return SpectralBasis(*solved)
 
 
-def _eigh_in_place(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``np.linalg.eigh(lap)`` by LAPACK dsyevd in the buffer of the
-    C-contiguous symmetric float64 ``lap``, which it overwrites: the
-    eigenvectors come back as that memory in Fortran order.  ``None`` when
-    scipy is not installed.
-    """
+def _eigh_in_place(lap: np.ndarray, columns: Callable[[np.ndarray], int]):
+    """``lap``'s eigenvalues, bitwise ``np.linalg.eigh``'s, its first
+    ``columns(eigenvalues)`` eigenvectors and the solver's name, or ``None``
+    without scipy; overwrites ``lap``, a C-contiguous symmetric float64 array."""
     try:
         from scipy.linalg import lapack
     except ImportError:
         return None
     # lap.T is Fortran-contiguous and holds the same matrix; lower=1 runs the
-    # reduction np.linalg.eigh runs (UPLO="L") on it
-    vals, vecs, info = lapack.dsyevd(lap.T, compute_v=1, lower=1, overwrite_a=1)
+    # reduction np.linalg.eigh runs (UPLO="L"), blocked only at optimal lwork
+    lwork, _ = lapack.dsytrd_lwork(lap.shape[0], lower=1)
+    c, d, e, tau, _ = lapack.dsytrd(lap.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    vals, z, info = lapack.dstevd(d, e)  # the dstedc that dsyevd runs
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info = {info}")
-    return vals, vecs
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    vecs = z[:, :columns(vals)]
+    # Q = H(1) ... H(n-1) keeps row 0 and acts on rows 1.. as the QR factor
+    # whose reflectors lie below c's subdiagonal (dormtr with UPLO="L")
+    reflectors = np.asfortranarray(c[1:, :-1])
+    _, work, _ = lapack.dormqr("L", "N", reflectors, tau, vecs[1:], -1)
+    vecs[1:], _, _ = lapack.dormqr("L", "N", reflectors, tau, vecs[1:], int(work[0]))
+    return vals, vecs, "dsytrd+dstevd+dormqr"
 
 
 def _check_symmetric(lap: np.ndarray) -> None:
@@ -192,9 +205,11 @@ def random_bandlimited_block(
         raise ValueError("offband_energy must lie in [0, 1)")
     if offband_energy > 0.0 and k_in == basis.n:
         raise ValueError("band spans the whole spectrum; no off-band direction")
-    inband = _unit_columns(basis.eigenvectors[:, :k_in], rngs)
+    inband = _unit_columns(basis.band_vectors(omega), rngs)
     if offband_energy == 0.0:
         return inband
+    if basis.eigenvectors.shape[1] < basis.n:
+        raise ValueError("off-band draws need all n eigenvectors; the basis has fewer")
     offband = _unit_columns(basis.eigenvectors[:, k_in:], rngs)
     return np.sqrt(1.0 - offband_energy) * inband + np.sqrt(offband_energy) * offband
 

@@ -7,6 +7,7 @@ eigendecompositions dominate test runtime; tests must not mutate them.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,3 +79,13 @@ def p4():
     graph = glm.path_graph(4)
     basis = glm.eigendecompose(glm.build_laplacian(graph))
     return graph, basis
+
+
+@pytest.fixture()
+def hide_scipy(monkeypatch):
+    """Call it to make every later ``import scipy...`` in the test fail."""
+    def hide():
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+    return hide

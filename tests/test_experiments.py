@@ -490,6 +490,8 @@ def test_meta_sidecar(tmp_path):
     assert "written_at" in meta
     assert set(meta["steady_state"]) == {"uniform", "random"}
     assert meta["timings"] == report.timings
+    # below 1365 vertices eigh runs with or without scipy, and keeps the band
+    assert meta["solver"] == {"path": "np.linalg.eigh", "m": report.band_dim, "n": 100}
     assert meta["iteration"] == {
         s: {"contraction": report.contraction[s],
             "spectral_radius": report.spectral_radius[s]}
@@ -668,24 +670,56 @@ def test_desk_scale_run_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_run_without_scipy_gives_the_in_place_report(monkeypatch):
+# 1600 vertices: with scipy, the band-only in-place solver runs
+GRID40_CFG = (GRID_CFG.replace("graph.rows = 10", "graph.rows = 40")
+              .replace("graph.cols = 10", "graph.cols = 40")
+              .replace("noise = none", "noise = iid\nnoise.sigma = 1e-3"))
+
+
+def test_run_with_and_without_scipy_agree(hide_scipy):
     pytest.importorskip("scipy.linalg")
-    cfg = glm.parse_config(GRID_CFG.replace("graph.rows = 10", "graph.rows = 40")
-                           .replace("graph.cols = 10", "graph.cols = 40"))
+    cfg = glm.parse_config(GRID40_CFG)
     assert 40 * 40 >= spectral._IN_PLACE_MIN_N
-    solved, real = [], spectral._eigh_in_place
-
-    def solver(lap):
-        solved.append(real(lap))
-        return solved[-1]
-
-    monkeypatch.setattr(spectral, "_eigh_in_place", solver)
     with_scipy = glm.run_experiment(cfg)
-    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
-        monkeypatch.setitem(sys.modules, name, None)
-    monkeypatch.setitem(sys.modules, "scipy", None)
+    hide_scipy()
     without = glm.run_experiment(cfg)
-    assert [s is None for s in solved] == [False, True]  # in place, then eigh
-    assert format_report_csv(without) == format_report_csv(with_scipy)
-    assert without.contraction == with_scipy.contraction
-    assert without.spectral_radius == with_scipy.spectral_radius
+    assert with_scipy.solver == {"path": "dsytrd+dstevd+dormqr",
+                                 "m": with_scipy.band_dim, "n": 1600}
+    assert without.solver == {**with_scipy.solver, "path": "np.linalg.eigh"}
+    # bitwise the same eigenvalues, so bitwise the same resolved values
+    for name in ("omega", "band_dim", "n_max", "n_sets", "c_max", "gamma"):
+        assert getattr(without, name) == getattr(with_scipy, name)
+    # band vectors that differ in the last bits move the rest within the
+    # stated tolerance
+    for s in cfg.schemes:
+        for field in ("mean_rel_error", "std_rel_error", "steady_errors"):
+            np.testing.assert_allclose(getattr(without, field)[s],
+                                       getattr(with_scipy, field)[s],
+                                       rtol=1e-9, atol=1e-12)
+        for field in ("contraction", "spectral_radius"):
+            assert getattr(without, field)[s] == pytest.approx(
+                getattr(with_scipy, field)[s], rel=1e-9, abs=1e-12)
+
+
+def test_offband_run_keeps_every_eigenvector():
+    cfg = glm.parse_config(GRID40_CFG.replace("trials = 8", "trials = 2")
+                           .replace("max_iterations = 40", "max_iterations = 2")
+                           + "offband_energy = 0.01\n")
+    report = glm.run_experiment(cfg)
+    assert report.solver["m"] == report.solver["n"] == 1600
+
+
+@pytest.mark.parametrize("scipy", [True, False])
+def test_meta_names_the_solver(tmp_path, hide_scipy, scipy):
+    if scipy:
+        pytest.importorskip("scipy.linalg")
+    else:
+        hide_scipy()
+    cfg = glm.parse_config(GRID40_CFG.replace("trials = 8", "trials = 2")
+                           .replace("max_iterations = 40", "max_iterations = 2"))
+    report = glm.run_experiment(cfg)
+    glm.write_report_meta(report, tmp_path / "meta.json")
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    path = "dsytrd+dstevd+dormqr" if scipy else "np.linalg.eigh"
+    assert meta["solver"] == {"path": path, "m": report.band_dim, "n": 1600}
+    assert "solver" not in meta["resolved"]  # every resolved value is a number

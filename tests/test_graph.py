@@ -214,7 +214,7 @@ def test_build_laplacian_p3():
 def test_laplacian_rows_sum_to_zero():
     g = glm.grid_graph(4, 5)
     lap = glm.build_laplacian(g)
-    assert np.allclose(lap.sum(axis=1), 0.0)
+    assert np.allclose(lap.sum(axis=1), 0.0, rtol=0, atol=1e-15)
     assert np.array_equal(lap, lap.T)
     assert np.linalg.eigvalsh(lap).min() > -1e-10
 

@@ -21,7 +21,7 @@ def test_band_operator_keeps_constants():
     w = glm.make_weights("uniform", p)
     op = glm.BandOperator(basis, 0.4, p)
     f = np.array([3.0, 3.0])
-    assert np.allclose(op.ub @ (op.bt @ glm.measure(f, w)), f, atol=1e-12)
+    assert np.allclose(op.ub @ (op.bt @ glm.measure(f, w)), f, rtol=0, atol=1e-12)
 
 
 def test_ilmr_measurement_shape_check(p4):
@@ -112,7 +112,7 @@ def test_ilmr_exact_on_constant():
     run = glm.ilmr(
         np.array([3.0]), p, w, basis, ReconstructionConfig(omega=0.4)
     )
-    assert np.allclose(run.estimate, [3.0, 3.0], atol=1e-12)
+    assert np.allclose(run.estimate, [3.0, 3.0], rtol=0, atol=1e-12)
     assert run.stop_reason == "converged"
     assert run.gamma is None  # no c_max supplied
 
@@ -122,7 +122,7 @@ def test_ilmr_zero_measurements(p4):
     p = Partition(sets=((0, 1), (2, 3)))
     w = glm.make_weights("uniform", p)
     run = glm.ilmr(np.zeros(2), p, w, basis, ReconstructionConfig(omega=0.1))
-    assert np.allclose(run.estimate, 0.0, atol=1e-15)
+    assert np.allclose(run.estimate, 0.0, rtol=0, atol=1e-15)
 
 
 def test_ilmr_measurement_count_mismatch(p4):
@@ -216,7 +216,7 @@ def test_ilsr_recovers_constant_from_one_sample():
         np.array([f[2]]), [2], basis,
         ReconstructionConfig(omega=0.05, max_iterations=500, stop_tolerance=1e-14),
     )
-    assert np.allclose(run.estimate, f, atol=1e-10)
+    assert np.allclose(run.estimate, f, rtol=0, atol=1e-10)
     assert run.gamma is None
 
 
@@ -279,7 +279,7 @@ def test_ilmr_singletons_equals_ilsr(grid20):
     cfg = ReconstructionConfig(omega=omega, max_iterations=40, stop_tolerance=0.0)
     via_ilmr = glm.ilmr(samples, singletons, weights, basis, cfg)
     via_ilsr = glm.ilsr(samples, sample_set, basis, cfg)
-    assert np.allclose(via_ilmr.estimate, via_ilsr.estimate, atol=1e-12)
+    assert np.allclose(via_ilmr.estimate, via_ilsr.estimate, rtol=0, atol=1e-12)
 
 
 def test_contraction_ratio_bound_holds(grid20, grid20_pairs):

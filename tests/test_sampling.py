@@ -18,7 +18,7 @@ def pair_partition():
 def test_uniform_weights(pair_partition):
     w = glm.make_weights("uniform", pair_partition)
     for vec in w.values:
-        assert np.allclose(vec, 0.5)
+        assert np.allclose(vec, 0.5, rtol=0, atol=1e-15)
 
 
 def test_random_weights_normalized(pair_partition):
@@ -46,7 +46,7 @@ def test_optimal_weights_inverse_variance():
     p = Partition(sets=((0, 1),))
     noise = NoiseModel(sigma=np.array([1.0, 2.0]))  # variances 1 and 4
     w = glm.make_weights("optimal", p, noise=noise)
-    assert np.allclose(w.values[0], [0.8, 0.2], atol=1e-15)
+    assert np.allclose(w.values[0], [0.8, 0.2], rtol=0, atol=1e-15)
 
 
 def test_optimal_requires_positive_noise():
@@ -234,7 +234,7 @@ def test_measure_uniform_average():
     p = Partition(sets=((0, 1),))
     w = glm.make_weights("uniform", p)
     m = glm.measure(np.array([1.0, 3.0]), w)
-    assert np.allclose(m, [2.0], atol=1e-15)
+    assert np.allclose(m, [2.0], rtol=0, atol=1e-15)
 
 
 def test_measure_block_matches_columns(pair_partition):
@@ -283,7 +283,7 @@ def test_measure_is_linear(seed):
     a, b = rng.standard_normal(2)
     lhs = glm.measure(a * f + b * g, w)
     rhs = a * glm.measure(f, w) + b * glm.measure(g, w)
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_equivalent_noise_uniform_pair():
@@ -323,7 +323,7 @@ def test_noise_model_validation():
     with pytest.raises(ValueError, match="1-d"):
         NoiseModel(sigma=np.ones((2, 2)))
     m = NoiseModel.iid(5, 0.3)
-    assert m.sigma.size == 5 and np.allclose(m.sigma, 0.3)
+    assert m.sigma.size == 5 and np.allclose(m.sigma, 0.3, rtol=0, atol=1e-15)
 
 
 # set sizes past 8, where a pairwise sum would reorder the totals

@@ -14,13 +14,13 @@ from graphlmr import spectral
 def test_eigendecompose_p3_spectrum():
     # path on 3 vertices has eigenvalues 0, 1, 3
     basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(3)))
-    assert np.allclose(basis.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
+    assert np.allclose(basis.eigenvalues, [0.0, 1.0, 3.0], rtol=0, atol=1e-12)
 
 
 def test_eigendecompose_orthonormal(grid20):
     _, basis = grid20
     u = basis.eigenvectors
-    assert np.allclose(u.T @ u, np.eye(basis.n), atol=1e-10)
+    assert np.allclose(u.T @ u, np.eye(basis.n), rtol=0, atol=1e-10)
     assert np.all(np.diff(basis.eigenvalues) >= -1e-12)
 
 
@@ -140,16 +140,23 @@ def test_eigendecompose_keeps_the_solver_arrays(monkeypatch):
     _assert_holds_copies(glm.eigendecompose(lap), solved, lap)
 
 
-def test_eigendecompose_keeps_the_in_place_arrays(monkeypatch):
-    pytest.importorskip("scipy.linalg")
-    solved = []
-    monkeypatch.setattr(spectral, "_IN_PLACE_MIN_N", 1)
-    monkeypatch.setattr(spectral, "_eigh_in_place",
-                        _recorder(spectral._eigh_in_place, solved))
-    lap = glm.build_laplacian(glm.path_graph(4))
-    basis = glm.eigendecompose(spectral._Owned(lap))
-    assert solved[0][1].flags.f_contiguous  # dsyevd's layout
-    _assert_holds_copies(basis, solved, lap)
+@pytest.mark.parametrize("in_place", [False, True])
+def test_owned_laplacian_keeps_the_first_columns(in_place, monkeypatch, hide_scipy):
+    if in_place:
+        pytest.importorskip("scipy.linalg")
+        monkeypatch.setattr(spectral, "_IN_PLACE_MIN_N", 1)
+    else:
+        hide_scipy()
+    lap = glm.build_laplacian(glm.path_graph(6))
+    public = glm.eigendecompose(lap)
+    basis = glm.eigendecompose(spectral._Owned(lap.copy(), lambda vals: 2))
+    assert basis.solver == ("dsytrd+dstevd+dormqr" if in_place else "np.linalg.eigh")
+    assert public.solver == "np.linalg.eigh" and public.eigenvectors.shape == (6, 6)
+    assert basis.eigenvalues.tobytes() == public.eigenvalues.tobytes()
+    assert basis.eigenvectors.shape == (6, 2)
+    assert basis.eigenvectors.flags.c_contiguous and not basis.eigenvectors.flags.writeable
+    np.testing.assert_allclose(basis.eigenvectors, public.eigenvectors[:, :2],
+                               rtol=0, atol=1e-13)
 
 
 def test_basis_copies_caller_arrays(p4):
@@ -178,6 +185,7 @@ def test_basis_rejects_non_finite_eigenpairs(bad):
 
 @pytest.mark.parametrize("vals, vecs", [
     ([0.0, 1.0], np.eye(3)),
+    ([0.0, 1.0], np.ones((2, 3))),  # more eigenvectors than eigenvalues
     ([0.0, 1.0], np.ones(4)),
     ([[0.0, 1.0]], np.eye(2)),
 ])
@@ -190,32 +198,32 @@ def test_eigenvectors_invert_and_keep_the_norm(grid20):
     _, basis = grid20
     f = np.random.default_rng(0).standard_normal(basis.n)
     coeff = basis.eigenvectors.T @ f
-    assert np.allclose(basis.eigenvectors @ coeff, f, atol=1e-10)
+    assert np.allclose(basis.eigenvectors @ coeff, f, rtol=0, atol=1e-10)
     assert np.linalg.norm(coeff) == pytest.approx(np.linalg.norm(f), rel=1e-12)
 
 
 def test_eigendecompose_p2_constant_eigenvector():
     basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(2)))
-    assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
+    assert np.allclose(basis.eigenvalues, [0.0, 2.0], rtol=0, atol=1e-12)
     # the zero eigenvalue belongs to the constant vector (sign is solver-dependent)
     const = basis.eigenvectors[:, 0]
-    assert np.allclose(np.abs(const), [1.0 / math.sqrt(2.0)] * 2, atol=1e-12)
+    assert np.allclose(np.abs(const), [1.0 / math.sqrt(2.0)] * 2, rtol=0, atol=1e-12)
 
 
 def test_band_vectors_project_p2():
     basis = glm.eigendecompose(glm.build_laplacian(glm.path_graph(2)))
     ub = basis.band_vectors(1.0)
-    assert np.allclose(ub @ (ub.T @ np.array([2.0, 0.0])), [1.0, 1.0], atol=1e-12)
+    assert np.allclose(ub @ (ub.T @ np.array([2.0, 0.0])), [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_band_vectors_are_orthonormal(grid20):
     # so U_b U_b^T is an orthogonal projection: applying it twice changes nothing
     _, basis = grid20
     ub = basis.band_vectors(0.1)
-    assert np.allclose(ub.T @ ub, np.eye(ub.shape[1]), atol=1e-10)
+    assert np.allclose(ub.T @ ub, np.eye(ub.shape[1]), rtol=0, atol=1e-10)
     f = np.random.default_rng(1).standard_normal(basis.n)
     once = ub @ (ub.T @ f)
-    assert np.allclose(ub @ (ub.T @ once), once, atol=1e-10)
+    assert np.allclose(ub @ (ub.T @ once), once, rtol=0, atol=1e-10)
 
 
 def test_band_vectors_extremes(p4):
@@ -224,11 +232,11 @@ def test_band_vectors_extremes(p4):
     # cutoff above the whole spectrum: the band is everything
     ub = basis.band_vectors(10.0)
     assert ub.shape == (4, 4)
-    assert np.allclose(ub @ (ub.T @ f), f, atol=1e-10)
+    assert np.allclose(ub @ (ub.T @ f), f, rtol=0, atol=1e-10)
     # cutoff 0 keeps only the constant component (connected graph)
     ub = basis.band_vectors(0.0)
     assert ub.shape == (4, 1)
-    assert np.allclose(ub @ (ub.T @ f), np.full(4, f.mean()), atol=1e-10)
+    assert np.allclose(ub @ (ub.T @ f), np.full(4, f.mean()), rtol=0, atol=1e-10)
 
 
 def test_band_cutoff_inclusive():
@@ -249,7 +257,7 @@ def test_random_bandlimited_norm_and_band(grid20):
     f = glm.random_bandlimited(basis, 0.1, rng)
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     ub = basis.band_vectors(0.1)
-    assert np.allclose(ub @ (ub.T @ f), f, atol=1e-10)
+    assert np.allclose(ub @ (ub.T @ f), f, rtol=0, atol=1e-10)
 
 
 def test_random_bandlimited_deterministic(grid20):
@@ -296,7 +304,7 @@ def test_random_bandlimited_is_unit_norm_on_a_one_dimensional_band(p4):
     rng = np.random.default_rng(5)
     f = glm.random_bandlimited(basis, 0.1, rng)
     # the band holds only the constant vector, so f is +-1/2 everywhere
-    assert np.allclose(np.abs(f), 0.5, atol=1e-12)
+    assert np.allclose(np.abs(f), 0.5, rtol=0, atol=1e-12)
     g = glm.random_bandlimited(basis, 0.1, rng, offband_energy=0.5)
     assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
     assert abs(g.mean()) * 2.0 == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -374,21 +382,49 @@ def test_random_bandlimited_block_raises_on_zero_draw(p4):
     assert [r.calls for r in rngs] == [1, 1]  # no redraw
 
 
-@pytest.mark.parametrize("setup", ["grid20", "rgg300"])
-def test_in_place_solver_matches_eigh(setup, request):
+def test_partial_basis_refuses_what_it_lacks(grid20):
+    _, full = grid20
+    basis = glm.SpectralBasis(full.eigenvalues, full.eigenvectors[:, :3])
+    omega = float(full.eigenvalues[2])  # the band holds the tied lambda_2 = lambda_3
+    assert np.array_equal(basis.band_vectors(omega), full.band_vectors(omega))
+    wider = float(full.eigenvalues[3])
+    with pytest.raises(ValueError, match=f"the band has dimension "
+                       f"{full.band_dim(wider)}, the basis only 3 vectors"):
+        basis.band_vectors(wider)
+    f = glm.random_bandlimited(basis, omega, np.random.default_rng(0))
+    want = glm.random_bandlimited(full, omega, np.random.default_rng(0))
+    assert np.allclose(f, want, rtol=0, atol=basis.n * np.finfo(np.float64).eps)
+    with pytest.raises(ValueError, match="off-band draws need all n eigenvectors"):
+        glm.random_bandlimited(basis, omega, np.random.default_rng(0), offband_energy=0.1)
+
+
+@pytest.fixture(scope="module")
+def grid40():
+    return (glm.grid_graph(40, 40),)
+
+
+@pytest.mark.parametrize("setup, band_dim", [("grid20", 3), ("rgg300", 10),
+                                             ("grid40", 3)])
+@pytest.mark.parametrize("all_columns", [False, True])
+def test_in_place_solver_matches_eigh(setup, band_dim, all_columns, request):
     pytest.importorskip("scipy.linalg")
-    graph, _ = request.getfixturevalue(setup)
-    lap = glm.build_laplacian(graph)
+    lap = glm.build_laplacian(request.getfixturevalue(setup)[0])
     want_vals, want_vecs = np.linalg.eigh(lap)
-    vals, vecs = spectral._eigh_in_place(lap)
-    assert np.shares_memory(vecs, lap)  # solved in the Laplacian's buffer
-    np.testing.assert_allclose(vals, want_vals, rtol=0.0, atol=1e-12)
-    # no flipped signs, no other basis of a degenerate eigenspace
-    assert np.einsum("ij,ij->j", vecs, want_vecs).min() >= 1.0 - 1e-12
+    m = lap.shape[0] if all_columns else band_dim
+    kept = lap.copy()
+    vals, vecs, solver = spectral._eigh_in_place(lap, lambda vals: m)
+    assert solver == "dsytrd+dstevd+dormqr"
+    assert not np.array_equal(lap, kept)  # reduced in the Laplacian's own buffer
+    assert vals.tobytes() == want_vals.tobytes()
+    if setup != "rgg300":  # the grids' lambda_2 = lambda_3 are tied
+        assert vals[2] - vals[1] < 1e-14
+    # entrywise: no flipped sign, and no other basis of the tied eigenspace
+    assert vecs.shape == (lap.shape[0], m)
+    np.testing.assert_allclose(vecs, want_vecs[:, :m], rtol=0, atol=1e-13)
 
 
-def test_owned_laplacian_gives_the_public_basis():
-    lap = glm.build_laplacian(glm.grid_graph(40, 40))
+def test_owned_laplacian_gives_the_public_basis(grid40):
+    lap = glm.build_laplacian(grid40[0])
     assert lap.shape[0] >= spectral._IN_PLACE_MIN_N
     kept = lap.copy()
     public = glm.eigendecompose(lap)
@@ -396,7 +432,6 @@ def test_owned_laplacian_gives_the_public_basis():
     owned = glm.eigendecompose(spectral._Owned(lap))
     assert owned.eigenvectors.flags.c_contiguous
     assert not owned.eigenvectors.flags.writeable
-    np.testing.assert_allclose(owned.eigenvalues, public.eigenvalues,
-                               rtol=0.0, atol=1e-12)
-    assert np.einsum("ij,ij->j", owned.eigenvectors,
-                     public.eigenvectors).min() >= 1.0 - 1e-12
+    assert owned.eigenvalues.tobytes() == public.eigenvalues.tobytes()
+    np.testing.assert_allclose(owned.eigenvectors, public.eigenvectors,
+                               rtol=0, atol=1e-13)
